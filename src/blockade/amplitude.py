@@ -2,14 +2,16 @@
 
 Two routes are provided:
 
-* ``steady_amplitudes`` -- the ground-truth path.  It projects the
-  non-Hermitian Hamiltonian onto the n1+n2 <= 2 subspace and solves the
-  weak-driving hierarchy (c00 = 1, then the 2x2 one-photon block, then the
-  3x3 two-photon block).
+* ``steady_amplitude_stack`` -- the ground-truth path.  It writes the
+  non-Hermitian Hamiltonian on the n1+n2 <= 2 subspace straight from its
+  matrix elements (``subspace_block``; nothing is projected from a Fock
+  space) for arrays of rates, and solves the weak-driving hierarchy of all
+  points at once (c00 = 1, then the 2x2 one-photon block, then the 3x3
+  two-photon block).  ``steady_amplitudes`` is its one-point case.
 
 * ``analytic_coefficients`` -- the published closed forms, kept verbatim
   for comparison.  These closed forms use the opposite detuning sign
-  (their Lambda = delta + i*kappa/2 - mu, versus the projected diagonal
+  (their Lambda = delta + i*kappa/2 - mu, versus the block diagonal
   -(delta + mu) - i*kappa/2), so they reproduce the solve path evaluated
   at -delta, up to complex conjugation and an alternating sign on the
   one-photon amplitudes.  Magnitudes agree under that delta reflection.
@@ -22,13 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis
-from .model import SystemParams, non_hermitian_hamiltonian
+# non_hermitian_hamiltonian is the reference for subspace_block; perfbench's
+# tracer also wraps it here by name.
+from .model import SystemParams, non_hermitian_hamiltonian  # noqa: F401
 
 # Two-excitation subspace ordering used throughout this module.
 TWO_EXCITATION_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
+STACKED_FIELDS = ("delta", "lambda_gain", "hop_J", "g_om")
 
 _DET_FLOOR = 1e-300
+_SQRT2 = np.sqrt(2.0)
+# Occupation 2 as the Fock-space build rounds it: sqrt(2)*sqrt(2), not 2.
+_TWO = _SQRT2 * _SQRT2
+_OCCUPATION = np.array([0.0, 1.0, 1.0, 1.0 + 1.0, _TWO, _TWO])
 
 
 class ResonanceSingularityError(ArithmeticError):
@@ -81,47 +89,85 @@ def lambda_gamma(p: SystemParams) -> LambdaGamma:
     return LambdaGamma(Lambda=base - p.mu, Gamma=base - 2 * p.mu)
 
 
-def _subspace_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
-    """Non-Hermitian Hamiltonian restricted to the 6 states n1+n2 <= 2."""
-    if basis.n_max_1 < 2 or basis.n_max_2 < 2:
-        raise ValueError("basis must hold at least 2 photons per mode")
-    h = non_hermitian_hamiltonian(p, basis)
-    idx = [basis.flatten(n1, n2) for n1, n2 in TWO_EXCITATION_LABELS]
-    return h[np.ix_(idx, idx)]
+def subspace_block(p: SystemParams, **arrays) -> np.ndarray:
+    """Non-Hermitian Hamiltonian on TWO_EXCITATION_LABELS, shape (N, 6, 6).
+
+    Rates in STACKED_FIELDS given as arrays broadcast together and override
+    p's.  The entries round as those of ``non_hermitian_hamiltonian`` on
+    FockBasis(2, 2) do, so the block equals that projection bit for bit.
+    """
+    delta, lam, hop, g = np.broadcast_arrays(*(
+        np.ravel(np.asarray(arrays.pop(f, getattr(p, f)), dtype=float))
+        for f in STACKED_FIELDS))
+    if arrays:
+        raise ValueError("cannot stack %s" % sorted(arrays))
+    mu = np.float_power(g, 2)       # pow(), as SystemParams.mu rounds g**2
+    one, two = -delta - mu, -delta * _TWO - mu * (_TWO * _TWO)  # per mode
+    h = np.zeros(delta.shape + (6, 6), dtype=complex)
+    diag = h.reshape(-1, 36)[:, ::7]            # a view of the diagonals
+    diag.real[:, 1:] = np.array([one, one, one + one, two, two]).T
+    diag.imag = -0.5 * p.kappa * _OCCUPATION
+    up = p.drive_E * np.exp(1j * p.phi)
+    down = p.drive_E * np.exp(-1j * p.phi)
+    phase = np.exp(1j * p.theta)
+    pair_up = 1j * lam * phase * _SQRT2
+    pair_down = -1j * lam * np.conj(phase) * _SQRT2
+    # (upper state, lower state, raising and lowering elements): the drive
+    # on cavity 1, the parametric gain, the hopping
+    for hi, lo, rise, fall in (
+            (2, 0, up, down), (3, 1, up, down),
+            (5, 2, up * _SQRT2, down * _SQRT2),
+            (4, 0, pair_up, pair_down), (5, 0, pair_up, pair_down),
+            (2, 1, hop, hop), (5, 3, hop * _SQRT2, hop * _SQRT2),
+            (4, 3, hop * _SQRT2, hop * _SQRT2)):
+        h[:, hi, lo], h[:, lo, hi] = rise, fall
+    return h
 
 
-def steady_amplitudes(p: SystemParams, basis: FockBasis | None = None
-                      ) -> AmplitudeState:
-    """Steady amplitudes from the projected non-Hermitian Hamiltonian.
+def _solve_regular(m: np.ndarray, b: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each m x = b whose determinant clears _DET_FLOOR; flag others."""
+    bad = np.abs(np.linalg.det(m)) < _DET_FLOOR
+    if bad.any():                           # their solutions are void
+        m = np.where(bad[:, None, None], np.eye(m.shape[-1]), m)
+    return np.linalg.solve(m, b[..., None])[..., 0], bad
+
+
+def steady_amplitude_stack(p: SystemParams, **arrays
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Weak-driving hierarchy of each block of ``subspace_block(p, **arrays)``.
 
     c00 is pinned to 1 (no renormalization).  The one-photon 2x2 block is
     solved ignoring two-photon feedback; the two-photon 3x3 block is then
     sourced by the one-photon amplitudes and the direct parametric-gain
-    excitation of |02> and |20>.
+    excitation of |02> and |20>.  Returns the (N, 6) amplitudes and per
+    point "", or the name of the first block whose determinant is below
+    _DET_FLOOR ("one-photon", "two-photon"; that point's amplitudes are void).
     """
     if p.drive_E <= 0:
-        raise ValueError("steady_amplitudes requires drive_E > 0")
+        raise ValueError("steady amplitudes require drive_E > 0")
     if p.drive_E > 0.1 * p.kappa:
         warnings.warn("drive_E > 0.1*kappa: outside the weak-driving window, "
                       "amplitude hierarchy may be inaccurate",
-                      WeakDrivingWarning, stacklevel=2)
-    h = _subspace_hamiltonian(p, basis or FockBasis(2, 2))
-    one = [1, 2]            # |01>, |10>
-    two = [3, 4, 5]         # |11>, |02>, |20>
+                      WeakDrivingWarning, stacklevel=3)
+    h = subspace_block(p, **arrays)
+    one, two = slice(1, 3), slice(3, 6)     # |01>, |10> and |11>, |02>, |20>
+    c = np.ones(h.shape[:2], dtype=complex)
+    c[:, one], bad_one = _solve_regular(h[:, one, one], -h[:, one, 0])
+    # written out: a stacked matmul rounds unlike the per-point 2-term dot
+    src = h[:, two, 0] + (h[:, two, 1] * c[:, 1, None]
+                          + h[:, two, 2] * c[:, 2, None])
+    c[:, two], bad_two = _solve_regular(h[:, two, two], -src)
+    return c, np.where(bad_one, "one-photon",
+                       np.where(bad_two, "two-photon", ""))
 
-    m1 = h[np.ix_(one, one)]
-    if abs(np.linalg.det(m1)) < _DET_FLOOR:
-        raise ResonanceSingularityError("one-photon block is singular")
-    c_one = np.linalg.solve(m1, -h[one, 0])
 
-    m2 = h[np.ix_(two, two)]
-    if abs(np.linalg.det(m2)) < _DET_FLOOR:
-        raise ResonanceSingularityError("two-photon block is singular")
-    src = h[two, 0] + h[np.ix_(two, one)] @ c_one
-    c_two = np.linalg.solve(m2, -src)
-
-    return AmplitudeState(c00=1.0 + 0.0j, c01=c_one[0], c10=c_one[1],
-                          c11=c_two[0], c02=c_two[1], c20=c_two[2])
+def steady_amplitudes(p: SystemParams) -> AmplitudeState:
+    """Steady amplitudes at one point; see ``steady_amplitude_stack``."""
+    c, singular = steady_amplitude_stack(p)
+    if singular[0]:
+        raise ResonanceSingularityError("%s block is singular" % singular[0])
+    return AmplitudeState(*c[0])
 
 
 def analytic_coefficients(p: SystemParams) -> AmplitudeState:
@@ -156,23 +202,18 @@ def analytic_coefficients(p: SystemParams) -> AmplitudeState:
                           c11=c11, c02=c02, c20=c20)
 
 
-def _g2_single(c_two: complex, c_one: complex) -> float:
-    if c_one == 0:
-        raise UndefinedCorrelationError("one-photon amplitude is zero")
-    return float(2.0 * abs(c_two) ** 2 / abs(c_one) ** 4)
-
-
 def g2_cavity(s: AmplitudeState, cavity: int) -> float:
     """g2(0) of one cavity from the amplitude hierarchy.
 
     Uses the weak-driving occupation approximation n_1 ~ |c10|**2,
     n_2 ~ |c01|**2.
     """
-    if cavity == 1:
-        return _g2_single(s.c20, s.c10)
-    if cavity == 2:
-        return _g2_single(s.c02, s.c01)
-    raise ValueError("cavity must be 1 or 2")
+    if cavity not in (1, 2):
+        raise ValueError("cavity must be 1 or 2")
+    c_two, c_one = (s.c20, s.c10) if cavity == 1 else (s.c02, s.c01)
+    if c_one == 0:
+        raise UndefinedCorrelationError("one-photon amplitude is zero")
+    return float(2.0 * abs(c_two) ** 2 / abs(c_one) ** 4)
 
 
 def g2_from_amplitudes(s: AmplitudeState) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: sweep, optimize, figure, g2, params.  Exit codes: 0 success,
-1 usage error, 2 solver error.
+1 usage error (including a configuration that a SystemParams, SweepSpec,
+SearchGrid or FockBasis check rejects), 2 solver error.
 
 Detunings given on the command line (``--delta``, ``optimize`` output)
 follow the published reporting axis, i.e. the sign convention of the
@@ -35,7 +36,7 @@ SOLVER_ERRORS = (ResonanceSingularityError, UndefinedCorrelationError,
                  np.linalg.LinAlgError)
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -60,6 +61,8 @@ def _base_params(args) -> SystemParams:
     else:
         raise UsageError("choose --preset weak|strong or --params-file")
     over = {}
+    if getattr(args, "delta", None) is not None:
+        over["delta"] = -args.delta     # reporting -> internal axis
     if getattr(args, "J", None) is not None:
         over["hop_J"] = args.J
     if getattr(args, "g", None) is not None:
@@ -134,8 +137,6 @@ _METHOD = {"amp": "amplitude", "me": "lindblad", "both": "both"}
 
 def _cmd_g2(args) -> int:
     p = _base_params(args)
-    if args.delta is not None:
-        p = p.replace(delta=-args.delta)   # reporting -> internal axis
     out = {}
     if args.method in ("amp", "both"):
         g2_1, g2_2 = g2_from_amplitudes(steady_amplitudes(p))
@@ -153,8 +154,6 @@ def _cmd_g2(args) -> int:
 
 def _cmd_sweep(args) -> int:
     p = _base_params(args)
-    if args.delta is not None:
-        p = p.replace(delta=-args.delta)
     spec = SweepSpec(axis=args.axis, range=tuple(args.range),
                      points=args.points, base=p, method=_METHOD[args.method],
                      cavity=args.cavity, axis_flip=args.flip_axis,
@@ -167,13 +166,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_optimize(args) -> int:
     p = _base_params(args)
     default = WEAK_GRID if args.preset == "weak" else STRONG_GRID
-    grid = SearchGrid(
-        delta_range=tuple(args.delta_range) if args.delta_range
-        else default.delta_range,
-        lambda_range=tuple(args.lambda_range) if args.lambda_range
-        else default.lambda_range,
-        n_delta=args.starts[0] if args.starts else default.n_delta,
-        n_lambda=args.starts[1] if args.starts else default.n_lambda)
+    grid = SearchGrid(tuple(args.delta_range or default.delta_range),
+                      tuple(args.lambda_range or default.lambda_range),
+                      *(args.starts or (default.n_delta, default.n_lambda)))
     thresh = None if args.keep_uncertified else 1e-2
     pairs = find_optimal_pairs(p, args.cavity, grid, g2_cutoff=args.cutoff,
                                oracle_threshold=thresh)
@@ -213,13 +208,15 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 1
     except SOLVER_ERRORS as exc:
         print("solver error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # a UsageError, or a configuration that a SystemParams, SweepSpec,
+        # SearchGrid or FockBasis check rejects
+        print("usage error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 def main():          # console_scripts entry point

@@ -43,13 +43,18 @@ class UnphysicalStateError(ValueError):
     """Density-matrix invariants (trace/Hermiticity/positivity) violated."""
 
 
+def check_dimension(basis: FockBasis, allow_large: bool = False) -> None:
+    """The dense-superoperator size guard of ``liouvillian``."""
+    if basis.dim ** 2 > 10 ** 4 and not allow_large:
+        raise DimensionOverflowError("superoperator dimension %d > 1e4; "
+                                     "pass allow_large=True" % basis.dim ** 2)
+
+
 def liouvillian(p: SystemParams, basis: FockBasis,
                 allow_large: bool = False) -> np.ndarray:
     """Dense Liouvillian of the dissipative dynamics, shape (d*d, d*d)."""
+    check_dimension(basis, allow_large)
     d = basis.dim
-    if d * d > 10 ** 4 and not allow_large:
-        raise DimensionOverflowError(
-            "superoperator dimension %d > 1e4; pass allow_large=True" % (d * d))
     h = effective_hamiltonian(p, basis)
     eye = np.eye(d, dtype=complex)
     liouv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))

@@ -55,6 +55,9 @@ class SystemParams:
     g_om: float = 0.0
 
     def __post_init__(self):
+        for key in _PARAM_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError("%s must be finite" % key)
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
         if self.drive_E < 0:

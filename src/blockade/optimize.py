@@ -70,7 +70,7 @@ def target_residual(delta: float, lam: float, p: SystemParams,
                     cavity: int) -> complex:
     """Two-photon amplitude of the chosen cavity at a reporting-axis point.
 
-    Evaluates the Hamiltonian-projected solve at the internal detuning
+    Evaluates the amplitude-hierarchy solve at the internal detuning
     -delta and conjugates, so the value is smooth in (delta, lam) and
     vanishes exactly where the published optimal-pair condition holds.
     """
@@ -110,6 +110,31 @@ def _newton_2d(fun, x0: np.ndarray, tol: float) -> np.ndarray | None:
     return x if np.linalg.norm(f) <= tol else None
 
 
+def _newton_roots(fun, grid: SearchGrid, tol: float,
+                  pad: float | None = None) -> list[np.ndarray]:
+    """Distinct Newton roots from the grid starts, sorted by delta.
+
+    With pad, a root must lie in the grid box widened on each side by pad
+    times its extent.  Newton divergence at a start point is skipped.
+    """
+    (d_lo, d_hi), (l_lo, l_hi) = grid.delta_range, grid.lambda_range
+    d_pad, l_pad = (pad or 0.0) * (d_hi - d_lo), (pad or 0.0) * (l_hi - l_lo)
+    roots: list[np.ndarray] = []
+    for x0 in grid.starts():
+        try:
+            x = _newton_2d(fun, x0, tol)
+        except (np.linalg.LinAlgError, ArithmeticError):
+            continue
+        if x is None or any(np.linalg.norm(x - r) < DEDUPE_DIST
+                            for r in roots):
+            continue
+        if pad is not None and not (d_lo - d_pad <= x[0] <= d_hi + d_pad and
+                                    l_lo - l_pad <= x[1] <= l_hi + l_pad):
+            continue
+        roots.append(x)
+    return sorted(roots, key=lambda r: r[0])
+
+
 def find_optimal_pairs(p: SystemParams, cavity: int,
                        grid: SearchGrid, g2_cutoff: int = 4,
                        oracle_threshold: float | None = 1e-2
@@ -139,28 +164,8 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
         r = target_residual(x[0], x[1], p, cavity)
         return np.array([r.real, r.imag])
 
-    d_lo, d_hi = grid.delta_range
-    l_lo, l_hi = grid.lambda_range
-    d_pad = 0.1 * (d_hi - d_lo)
-    l_pad = 0.1 * (l_hi - l_lo)
-
-    roots: list[np.ndarray] = []
-    for x0 in grid.starts():
-        try:
-            x = _newton_2d(fun, x0, tol)
-        except (np.linalg.LinAlgError, ArithmeticError):
-            continue
-        if x is None:
-            continue
-        if not (d_lo - d_pad <= x[0] <= d_hi + d_pad
-                and l_lo - l_pad <= x[1] <= l_hi + l_pad):
-            continue
-        if any(np.linalg.norm(x - r) < DEDUPE_DIST for r in roots):
-            continue
-        roots.append(x)
-
     pairs = []
-    for x in sorted(roots, key=lambda r: r[0]):
+    for x in _newton_roots(fun, grid, tol, pad=0.1):
         resid = abs(target_residual(x[0], x[1], p, cavity))
         g2 = steady_g2(p.replace(delta=-x[0], lambda_gain=x[1]),
                        cutoff=g2_cutoff)[cavity - 1]
@@ -189,18 +194,7 @@ def closed_form_roots(p: SystemParams, cavity: int, grid: SearchGrid
         c = s.c20 if cavity == 1 else s.c02
         return np.array([c.real, c.imag])
 
-    roots: list[np.ndarray] = []
-    for x0 in grid.starts():
-        try:
-            x = _newton_2d(fun, x0, tol)
-        except (np.linalg.LinAlgError, ArithmeticError):
-            continue
-        if x is None:
-            continue
-        if any(np.linalg.norm(x - r) < DEDUPE_DIST for r in roots):
-            continue
-        roots.append(x)
-    return [(float(r[0]), float(r[1])) for r in sorted(roots, key=lambda r: r[0])]
+    return [(float(r[0]), float(r[1])) for r in _newton_roots(fun, grid, tol)]
 
 
 def classify_mechanism(pair: OptimalPair, p: SystemParams) -> OptimalPair:

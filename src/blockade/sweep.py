@@ -13,17 +13,18 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .amplitude import (ResonanceSingularityError, UndefinedCorrelationError,
-                        g2_cavity, steady_amplitudes)
+from .amplitude import (AmplitudeState, UndefinedCorrelationError, g2_cavity,
+                        steady_amplitude_stack)
+# not called here; perfbench's tracer wraps it here by name
+from .amplitude import steady_amplitudes  # noqa: F401
 from .fock import FockBasis, two_mode_ops
-from .lindblad import EmptyModeError, SingularLiouvillianError, g2_mode, \
-    liouvillian, steady_state
+from .lindblad import EmptyModeError, SingularLiouvillianError, \
+    UnphysicalStateError, check_dimension, g2_mode, liouvillian, steady_state
 from .model import SystemParams, strong_params, weak_params
 
 AXES = ("delta", "lambda", "J", "g")
@@ -50,10 +51,16 @@ class SweepSpec:
             raise ValueError("axis must be one of %s" % (AXES,))
         if self.method not in ("amplitude", "lindblad", "both"):
             raise ValueError("bad method %r" % self.method)
+        if self.cavity not in ("1", "2", "both"):
+            raise ValueError("bad cavity %r" % self.cavity)
         if self.points < 2:
             raise ValueError("points must be >= 2")
-        if self.range[0] >= self.range[1]:
+        if not self.range[0] < self.range[1]:
             raise ValueError("range must satisfy lo < hi")
+        for value in self.range:        # the grid lies between its ends
+            self.base.replace(**{_AXIS_FIELD[self.axis]: float(value)})
+        if self.method != "amplitude":
+            check_dimension(FockBasis(self.cutoff, self.cutoff))
 
 
 @dataclass
@@ -62,95 +69,79 @@ class SweepResult:
     metadata: dict
 
 
-def _worker_count() -> int:
-    env = os.environ.get("BLOCKADE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _point(spec: SweepSpec, value: float) -> dict:
-    value = float(value)        # builtin float: round-trippable repr in CSVs
-    p = spec.base.replace(**{_AXIS_FIELD[spec.axis]: value})
-    row: dict = {"axis_value": -value if (spec.axis_flip and spec.axis == "delta")
-                 else value}
-    want_1 = spec.cavity in ("1", "both")
-    want_2 = spec.cavity in ("2", "both")
-
-    if spec.method in ("amplitude", "both"):
-        try:
-            s = steady_amplitudes(p)
-        except (ResonanceSingularityError, ValueError) as exc:
-            s = None
-            err = "err:%s" % type(exc).__name__
-        for cav, key in ((1, "g2_1_amp"), (2, "g2_2_amp")):
-            if (cav == 1 and not want_1) or (cav == 2 and not want_2):
-                row[key] = ""
-                continue
+def _amplitude_columns(spec: SweepSpec, values: np.ndarray,
+                       rows: list[dict]) -> None:
+    """g2_j_amp of every row from one stacked amplitude solve."""
+    cavities = (1, 2) if spec.cavity == "both" else (int(spec.cavity),)
+    amps, singular = steady_amplitude_stack(
+        spec.base, **{_AXIS_FIELD[spec.axis]: values})
+    for row, c, bad in zip(rows, amps, singular):
+        s = None if bad else AmplitudeState(*c)
+        for cav in cavities:
+            key = "g2_%d_amp" % cav
             if s is None:
-                row[key] = err
+                row[key] = "err:ResonanceSingularityError"
                 continue
             try:
                 row[key] = g2_cavity(s, cav)
             except UndefinedCorrelationError:
                 row[key] = "err:UndefinedCorrelationError"
-    else:
-        row["g2_1_amp"] = row["g2_2_amp"] = ""
 
-    if spec.method in ("lindblad", "both"):
+
+def _lindblad_columns(spec: SweepSpec, values: np.ndarray,
+                      rows: list[dict]) -> None:
+    """g2_j_me and n_j of every row, one master-equation solve per point."""
+    cavities = (1, 2) if spec.cavity == "both" else (int(spec.cavity),)
+    basis = FockBasis(spec.cutoff, spec.cutoff)
+    ops = two_mode_ops(basis)
+    for row, value in zip(rows, values.tolist()):
+        p = spec.base.replace(**{_AXIS_FIELD[spec.axis]: value})
         try:
-            basis = FockBasis(spec.cutoff, spec.cutoff)
             rho = steady_state(liouvillian(p, basis))
-            ops = two_mode_ops(basis)
-            for cav, want in ((1, want_1), (2, want_2)):
-                keys = ("g2_%d_me" % cav, "n%d" % cav)
-                if not want:
-                    row[keys[0]] = row[keys[1]] = ""
-                    continue
-                try:
-                    row[keys[0]], row[keys[1]] = g2_mode(rho, ops[cav - 1])
-                except EmptyModeError:
-                    row[keys[0]] = row[keys[1]] = "err:EmptyModeError"
-        except (SingularLiouvillianError, ValueError) as exc:
-            err = "err:%s" % type(exc).__name__
-            row["g2_1_me"] = row["g2_2_me"] = row["n1"] = row["n2"] = err
-    else:
-        row["g2_1_me"] = row["g2_2_me"] = row["n1"] = row["n2"] = ""
-    return row
+        except (SingularLiouvillianError, UnphysicalStateError) as exc:
+            row.update(dict.fromkeys(ROW_FIELDS[3:], "err:%s"
+                                     % type(exc).__name__))
+            continue
+        for cav in cavities:
+            keys = ("g2_%d_me" % cav, "n%d" % cav)
+            try:
+                row[keys[0]], row[keys[1]] = g2_mode(rho, ops[cav - 1])
+            except EmptyModeError:
+                row[keys[0]] = row[keys[1]] = "err:EmptyModeError"
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate g2(0) over the axis grid; deterministic given the spec."""
     values = np.linspace(spec.range[0], spec.range[1], spec.points)
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(lambda v: _point(spec, v), values))
-    meta = {
-        "params": spec.base.to_dict(),
-        "axis": spec.axis,
-        "range": list(spec.range),
-        "points": spec.points,
-        "method": spec.method,
-        "cavity": spec.cavity,
-        "axis_flip": spec.axis_flip,
-        "cutoff": spec.cutoff,
-        "code_version": __version__,
-        "wall_time_s": time.perf_counter() - t0,
-    }
+    flip = spec.axis_flip and spec.axis == "delta"
+    # builtin floats: round-trippable repr in CSVs
+    rows = [{"axis_value": -v if flip else v,
+             **dict.fromkeys(ROW_FIELDS[1:], "")} for v in values.tolist()]
+    if spec.method != "lindblad":
+        _amplitude_columns(spec, values, rows)
+    if spec.method != "amplitude":
+        _lindblad_columns(spec, values, rows)
+    meta = {"params": spec.base.to_dict(),        # then the spec's fields
+            **{k: v for k, v in vars(spec).items() if k != "base"},
+            "range": list(spec.range), "code_version": __version__,
+            "wall_time_s": time.perf_counter() - t0}
     return SweepResult(rows=rows, metadata=meta)
 
 
-def write_csv(result: SweepResult, csv_path, meta_path=None) -> None:
-    """CSV with a header row; floats in shortest round-trip decimals.
-
-    Metadata goes to a sibling ``.json`` file unless ``meta_path`` is given.
-    """
+def _write_rows(rows: list[dict], csv_path) -> None:
+    """CSV with a header row; floats in shortest round-trip decimals."""
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(ROW_FIELDS)
-        for row in result.rows:
+        for row in rows:
             w.writerow([repr(float(v)) if isinstance(v, float) else v
                         for v in (row[k] for k in ROW_FIELDS)])
+
+
+def write_csv(result: SweepResult, csv_path, meta_path=None) -> None:
+    """Rows as CSV; metadata to ``meta_path`` or else a sibling ``.json``."""
+    _write_rows(result.rows, csv_path)
     if meta_path is None:
         meta_path = os.path.splitext(str(csv_path))[0] + ".json"
     with open(meta_path, "w") as fh:
@@ -165,56 +156,37 @@ _WEAK_LAMBDA_OPT_CAV2 = 0.4e-6
 _STRONG_LAMBDA_OPT = 1.1e-6
 _STRONG_LAMBDA_OPT_CAV2 = 0.01e-6
 _KAPPA = 0.002
+_WEAK_RANGE, _STRONG_RANGE = (-0.01, 0.01), (-0.02, 0.1)
 
-FIGURE_IDS = ("2a", "2b", "3a", "3b", "4a", "4b", "5a", "5b")
-
-
-def _figure_plan(figure_id: str) -> dict:
-    weak, strong = weak_params(), strong_params()
-    plans = {
-        # analytic + master-equation curves, flipped delta axis
-        "2a": dict(base=weak, axis="delta", rng=(-0.01, 0.01), flip=True,
-                   method="both", cavity="1", curves=[
-                       ("lambda_gain", v) for v in
-                       (0.0, _WEAK_LAMBDA_OPT, 2 * _WEAK_LAMBDA_OPT)]),
-        "2b": dict(base=weak, axis="delta", rng=(-0.01, 0.01), flip=True,
-                   method="both", cavity="2", curves=[
-                       ("lambda_gain", v) for v in
-                       (0.0, _WEAK_LAMBDA_OPT_CAV2, 2 * _WEAK_LAMBDA_OPT_CAV2)]),
-        "3a": dict(base=weak.replace(lambda_gain=_WEAK_LAMBDA_OPT),
-                   axis="delta", rng=(-0.01, 0.01), flip=True,
-                   method="amplitude", cavity="1",
-                   curves=[("g_om", v) for v in (0.0, 0.02, 0.042)]),
-        "3b": dict(base=weak.replace(lambda_gain=_WEAK_LAMBDA_OPT),
-                   axis="delta", rng=(-0.01, 0.01), flip=True,
-                   method="amplitude", cavity="1",
-                   curves=[("hop_J", v) for v in
-                           (0.0, 0.5 * _KAPPA, 0.95 * _KAPPA)]),
-        "4a": dict(base=strong.replace(lambda_gain=_STRONG_LAMBDA_OPT),
-                   axis="delta", rng=(-0.02, 0.1), flip=True,
-                   method="both", cavity="1",
-                   curves=[("lambda_gain", v) for v in
-                           (0.0, _STRONG_LAMBDA_OPT, 2 * _STRONG_LAMBDA_OPT)]),
-        "4b": dict(base=strong, axis="delta", rng=(-0.02, 0.1), flip=True,
-                   method="both", cavity="2",
-                   curves=[("lambda_gain", v) for v in
-                           (0.0, _STRONG_LAMBDA_OPT_CAV2,
-                            2 * _STRONG_LAMBDA_OPT_CAV2)]),
-        # gain sweep at the first strong optimal detuning (reporting axis
-        # 2.4e-2 -> internal -2.4e-2)
-        "5a": dict(base=strong.replace(delta=-2.4e-2), axis="lambda",
-                   rng=(-5e-6, 5e-6), flip=False, method="amplitude",
-                   cavity="1", curves=[("g_om", v) for v in (0.0, 0.1, 0.2)]),
-        "5b": dict(base=strong.replace(lambda_gain=_STRONG_LAMBDA_OPT),
-                   axis="delta", rng=(-0.02, 0.1), flip=True,
-                   method="amplitude", cavity="1",
-                   curves=[("hop_J", v) for v in
-                           (0.0, 4 * _KAPPA, 8 * _KAPPA)]),
-    }
-    if figure_id not in plans:
-        raise ValueError("unknown figure id %r (choose from %s)"
-                         % (figure_id, FIGURE_IDS))
-    return plans[figure_id]
+# Per panel: preset, its fixed overrides, axis, emitted range, flip, method,
+# cavity, and the field that each of the three curves sets, with its values.
+_FIGURES = {
+    # analytic + master-equation curves, flipped delta axis
+    "2a": (weak_params, {}, "delta", _WEAK_RANGE, True, "both", "1",
+           "lambda_gain", (0.0, _WEAK_LAMBDA_OPT, 2 * _WEAK_LAMBDA_OPT)),
+    "2b": (weak_params, {}, "delta", _WEAK_RANGE, True, "both", "2",
+           "lambda_gain",
+           (0.0, _WEAK_LAMBDA_OPT_CAV2, 2 * _WEAK_LAMBDA_OPT_CAV2)),
+    "3a": (weak_params, {"lambda_gain": _WEAK_LAMBDA_OPT}, "delta",
+           _WEAK_RANGE, True, "amplitude", "1", "g_om", (0.0, 0.02, 0.042)),
+    "3b": (weak_params, {"lambda_gain": _WEAK_LAMBDA_OPT}, "delta",
+           _WEAK_RANGE, True, "amplitude", "1",
+           "hop_J", (0.0, 0.5 * _KAPPA, 0.95 * _KAPPA)),
+    "4a": (strong_params, {"lambda_gain": _STRONG_LAMBDA_OPT}, "delta",
+           _STRONG_RANGE, True, "both", "1",
+           "lambda_gain", (0.0, _STRONG_LAMBDA_OPT, 2 * _STRONG_LAMBDA_OPT)),
+    "4b": (strong_params, {}, "delta", _STRONG_RANGE, True, "both", "2",
+           "lambda_gain",
+           (0.0, _STRONG_LAMBDA_OPT_CAV2, 2 * _STRONG_LAMBDA_OPT_CAV2)),
+    # gain sweep at the first strong optimal detuning (reporting axis
+    # 2.4e-2 -> internal -2.4e-2)
+    "5a": (strong_params, {"delta": -2.4e-2}, "lambda", (-5e-6, 5e-6), False,
+           "amplitude", "1", "g_om", (0.0, 0.1, 0.2)),
+    "5b": (strong_params, {"lambda_gain": _STRONG_LAMBDA_OPT}, "delta",
+           _STRONG_RANGE, True, "amplitude", "1",
+           "hop_J", (0.0, 4 * _KAPPA, 8 * _KAPPA)),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def figure_dataset(figure_id: str, outdir, points: int = 401,
@@ -223,46 +195,32 @@ def figure_dataset(figure_id: str, outdir, points: int = 401,
 
     Returns the written file paths (CSVs first, metadata JSON last).
     """
-    plan = _figure_plan(figure_id)
+    if figure_id not in _FIGURES:
+        raise ValueError("unknown figure id %r (choose from %s)"
+                         % (figure_id, FIGURE_IDS))
+    preset, fixed, axis, (lo, hi), flip, method, cavity, fld, values = \
+        _FIGURES[figure_id]
     os.makedirs(outdir, exist_ok=True)
-    lo, hi = plan["rng"]
-    internal_rng = (-hi, -lo) if (plan["flip"] and plan["axis"] == "delta") \
-        else (lo, hi)
+    internal_rng = (-hi, -lo) if (flip and axis == "delta") else (lo, hi)
     written = []
     curve_meta = []
-    for i, (fld, val) in enumerate(plan["curves"]):
-        base = plan["base"].replace(**{fld: val})
-        spec = SweepSpec(axis=plan["axis"], range=internal_rng, points=points,
-                         base=base, method=plan["method"],
-                         cavity=plan["cavity"], axis_flip=plan["flip"],
-                         cutoff=cutoff)
-        result = run_sweep(spec)
+    for i, val in enumerate(values):
+        base = preset(**fixed).replace(**{fld: val})
+        spec = SweepSpec(axis=axis, range=internal_rng, points=points,
+                         base=base, method=method, cavity=cavity,
+                         axis_flip=flip, cutoff=cutoff)
         name = "fig%s_curve%d_%s_%s.csv" % (figure_id, i, fld, repr(val))
-        path = os.path.join(outdir, name)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(ROW_FIELDS)
-            for row in result.rows:
-                w.writerow([repr(float(v)) if isinstance(v, float) else v
-                            for v in (row[k] for k in ROW_FIELDS)])
-        written.append(path)
+        written.append(os.path.join(outdir, name))
+        _write_rows(run_sweep(spec).rows, written[-1])
         curve_meta.append({"file": name, "varied": fld, "value": val,
                            "params": base.to_dict()})
-    meta = {
-        "figure": figure_id,
-        "axis": plan["axis"],
-        "emitted_range": [lo, hi],
-        "axis_flip": plan["flip"],
-        "points": points,
-        "method": plan["method"],
-        "cavity": plan["cavity"],
-        "cutoff": cutoff,
-        "code_version": __version__,
-        "curve_values_are_repo_choice": figure_id in ("3a", "3b", "5a", "5b"),
-        "curves": curve_meta,
-    }
-    meta_path = os.path.join(outdir, "fig%s_metadata.json" % figure_id)
-    with open(meta_path, "w") as fh:
+    meta = {"figure": figure_id, "axis": axis, "emitted_range": [lo, hi],
+            "axis_flip": flip, "points": points, "method": method,
+            "cavity": cavity, "cutoff": cutoff, "code_version": __version__,
+            "curve_values_are_repo_choice":
+                figure_id in ("3a", "3b", "5a", "5b"),
+            "curves": curve_meta}
+    written.append(os.path.join(outdir, "fig%s_metadata.json" % figure_id))
+    with open(written[-1], "w") as fh:
         json.dump(meta, fh, indent=2)
-    written.append(meta_path)
     return written

@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from blockade.amplitude import (AmplitudeState, ResonanceSingularityError,
+from blockade.amplitude import (TWO_EXCITATION_LABELS, AmplitudeState,
+                                ResonanceSingularityError,
                                 UndefinedCorrelationError, WeakDrivingWarning,
                                 analytic_coefficients, g2_cavity,
                                 g2_from_amplitudes, lambda_gamma,
-                                steady_amplitudes)
-from blockade.model import SystemParams, weak_params
+                                steady_amplitude_stack, steady_amplitudes,
+                                subspace_block)
+from blockade.fock import FockBasis
+from blockade.model import SystemParams, non_hermitian_hamiltonian, weak_params
 
 def _weak_opt_internal():
     # internal-axis parameters of the published cavity-1 optimum
@@ -179,3 +182,58 @@ def test_singularity_detection():
 def test_as_array_order():
     s = AmplitudeState(1, 2, 3, 4, 5, 6)
     assert np.array_equal(s.as_array(), np.array([1, 2, 3, 4, 5, 6]))
+
+
+def _random_params(rng):
+    return SystemParams(delta=rng.uniform(-0.1, 0.1),
+                        lambda_gain=rng.uniform(-1e-5, 1e-5),
+                        theta=rng.uniform(-np.pi, np.pi),
+                        phi=rng.uniform(-np.pi, np.pi),
+                        hop_J=rng.uniform(-0.02, 0.02),
+                        kappa=rng.uniform(1e-4, 1e-2),
+                        drive_E=rng.uniform(1e-7, 1e-5),
+                        g_om=rng.uniform(0.0, 0.3))
+
+
+def test_direct_block_equals_fock_projection():
+    # the block is written from matrix elements, yet must round exactly as
+    # the 9x9 Fock-space Hamiltonian sliced to n1 + n2 <= 2
+    basis = FockBasis(2, 2)
+    idx = [basis.flatten(n1, n2) for n1, n2 in TWO_EXCITATION_LABELS]
+    rng = np.random.default_rng(2011)
+    for _ in range(300):
+        p = _random_params(rng)
+        ref = non_hermitian_hamiltonian(p, basis)[np.ix_(idx, idx)]
+        assert np.array_equal(subspace_block(p)[0], ref)
+
+
+def test_stack_equals_points_bit_for_bit():
+    rng = np.random.default_rng(83)
+    p = _random_params(rng)
+    n = 25
+    arrays = {"delta": rng.uniform(-0.1, 0.1, n),
+              "lambda_gain": rng.uniform(-1e-5, 1e-5, n),
+              "hop_J": rng.uniform(-0.02, 0.02, n),
+              "g_om": rng.uniform(0.0, 0.3, n)}
+    amps, singular = steady_amplitude_stack(p, **arrays)
+    assert amps.shape == (n, 6) and not singular.any()
+    for k in range(n):
+        point = p.replace(**{f: float(v[k]) for f, v in arrays.items()})
+        assert np.array_equal(amps[k], steady_amplitudes(point).as_array())
+    # scalars broadcast against the stacked field
+    block = subspace_block(p, delta=arrays["delta"])
+    assert block.shape == (n, 6, 6)
+    assert np.array_equal(block[3], subspace_block(
+        p.replace(delta=float(arrays["delta"][3])))[0])
+    with pytest.raises(ValueError):
+        subspace_block(p, kappa=np.ones(3))
+
+
+def test_stack_flags_only_the_singular_point():
+    # delta = 0 with a vanishing kappa underflows the one-photon determinant
+    p = SystemParams(hop_J=0.0, kappa=1e-160, drive_E=1e-162)
+    amps, singular = steady_amplitude_stack(p, delta=[-1e-3, 0.0, 1e-3])
+    assert singular.tolist() == ["", "one-photon", ""]
+    assert np.all(np.isfinite(amps[[0, 2]]))
+    with pytest.raises(ResonanceSingularityError, match="one-photon"):
+        steady_amplitudes(p.replace(delta=0.0))

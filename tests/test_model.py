@@ -40,6 +40,14 @@ def test_param_validation():
         SystemParams(g_om=-0.1)
 
 
+@pytest.mark.parametrize("field", ["delta", "lambda_gain", "theta", "phi",
+                                   "hop_J", "kappa", "drive_E", "g_om"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_param_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        weak_params().replace(**{field: value})
+
+
 def test_classify_regime():
     assert classify_regime(weak_params()) == "weak"
     assert classify_regime(strong_params()) == "strong"

@@ -5,10 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from blockade.amplitude import WeakDrivingWarning, g2_cavity, \
+    steady_amplitudes
 from blockade.cli import build_parser, cli_main
 from blockade.sweep import (FIGURE_IDS, ROW_FIELDS, SweepSpec, figure_dataset,
                             run_sweep, write_csv)
-from blockade.model import strong_params, weak_params
+from blockade.model import SystemParams, strong_params, weak_params
 
 
 def _g2_1_amp(rows):
@@ -57,11 +59,44 @@ def test_sweep_deterministic():
     assert a == b
 
 
-def test_thread_env_override(monkeypatch):
-    monkeypatch.setenv("BLOCKADE_THREADS", "1")
-    spec = SweepSpec(axis="delta", range=(-0.001, 0.001), points=9,
-                     base=weak_params(), method="amplitude", cavity="1")
-    assert len(run_sweep(spec).rows) == 9
+def test_stacked_rows_equal_point_solves():
+    base = weak_params(lambda_gain=0.93e-6, theta=0.3, phi=-1.1)
+    for axis, field, rng in (("delta", "delta", (-0.01, 0.01)),
+                             ("g", "g_om", (0.0, 0.1)),
+                             ("J", "hop_J", (1e-4, 0.004)),
+                             ("lambda", "lambda_gain", (-5e-6, 5e-6))):
+        spec = SweepSpec(axis=axis, range=rng, points=41, base=base,
+                         method="amplitude", cavity="both")
+        for row, v in zip(run_sweep(spec).rows, np.linspace(*rng, 41)):
+            s = steady_amplitudes(base.replace(**{field: float(v)}))
+            assert row["g2_1_amp"] == g2_cavity(s, 1)
+            assert row["g2_2_amp"] == g2_cavity(s, 2)
+
+
+def test_singular_block_marks_only_its_row():
+    # delta = 0 with a vanishing kappa underflows the one-photon determinant;
+    # the drive sits outside the weak window to keep the other rows finite
+    base = SystemParams(hop_J=0.0, kappa=1e-160, drive_E=1e-4)
+    spec = SweepSpec(axis="delta", range=(-0.002, 0.002), points=5,
+                     base=base, method="amplitude", cavity="1")
+    with pytest.warns(WeakDrivingWarning):
+        rows = run_sweep(spec).rows
+    assert rows[2]["axis_value"] == 0.0
+    assert rows[2]["g2_1_amp"] == "err:ResonanceSingularityError"
+    for k in (0, 1, 3, 4):
+        assert rows[k]["g2_1_amp"] == pytest.approx(1.0)   # linear cavity
+    assert all(row["g2_2_amp"] == "" for row in rows)
+
+
+def test_spec_rejects_axis_values_outside_the_parameter_domain():
+    with pytest.raises(ValueError, match="g_om"):
+        SweepSpec(axis="g", range=(-0.1, 0.1), points=5, base=weak_params())
+    with pytest.raises(ValueError):
+        SweepSpec(axis="delta", range=(0.0, np.inf), points=5,
+                  base=weak_params())
+    with pytest.raises(ValueError):
+        SweepSpec(axis="delta", range=(np.nan, 1.0), points=5,
+                  base=weak_params())
 
 
 def test_sentinel_rows_for_per_point_failures():
@@ -161,6 +196,35 @@ def test_cli_usage_errors(capsys):
     assert cli_main(["g2"]) == 1        # no preset and no params file
     assert cli_main(["sweep", "--preset", "weak", "--out", "x.csv"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["g2", "--preset", "weak", "--delta", "nan"],
+    ["g2", "--preset", "weak", "--cutoff", "0"],
+    ["sweep", "--preset", "weak", "--range", "-0.01", "0.01",
+     "--points", "1"],
+    ["sweep", "--preset", "weak", "--range", "0.01", "-0.01"],
+    ["sweep", "--preset", "weak", "--axis", "g", "--range", "-0.1", "0.1"],
+    ["optimize", "--preset", "weak", "--starts", "2", "2"],
+])
+def test_cli_configuration_errors_exit_1(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+def test_cli_oversized_cutoff_fails_before_writing(tmp_path, capsys):
+    code = cli_main(["g2", "--preset", "weak", "--cutoff", "10"])
+    assert code == 2
+    out = tmp_path / "big.csv"
+    assert cli_main(["sweep", "--preset", "weak", "--range", "-0.01", "0.01",
+                     "--cutoff", "10", "--method", "both",
+                     "--out", str(out)]) == code
+    assert "DimensionOverflowError" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "big.json").exists()
 
 
 def test_cli_solver_error_exit_code(tmp_path, capsys):
