@@ -4,7 +4,7 @@ methods, plus optimal-antibunching parameter search."""
 
 __version__ = "0.1.0"
 
-from .fock import FockBasis, annihilation, tensor, two_mode_ops
+from .fock import FockBasis, annihilation, two_mode_ops
 from .model import (SystemParams, cpb_detunings, effective_hamiltonian,
                     non_hermitian_hamiltonian, strong_params, weak_params)
 from .amplitude import (AmplitudeState, analytic_coefficients,
@@ -16,7 +16,7 @@ from .optimize import (OptimalPair, SearchGrid, find_optimal_pairs,
 from .sweep import SweepSpec, figure_dataset, run_sweep
 
 __all__ = [
-    "FockBasis", "annihilation", "tensor", "two_mode_ops",
+    "FockBasis", "annihilation", "two_mode_ops",
     "SystemParams", "weak_params", "strong_params", "cpb_detunings",
     "effective_hamiltonian", "non_hermitian_hamiltonian",
     "AmplitudeState", "steady_amplitudes", "analytic_coefficients",

@@ -73,20 +73,13 @@ class AmplitudeState:
         return abs(self.c00) > 10 * one and (one == 0 or one > 10 * two)
 
 
-@dataclass(frozen=True)
-class LambdaGamma:
-    """Published one- and two-photon denominators.
+def lambda_gamma(p: SystemParams) -> tuple[complex, complex]:
+    """Published one- and two-photon denominators (Lambda, Gamma).
 
     Lambda = delta + i*kappa/2 - mu, Gamma = delta + i*kappa/2 - 2*mu.
     """
-
-    Lambda: complex
-    Gamma: complex
-
-
-def lambda_gamma(p: SystemParams) -> LambdaGamma:
     base = p.delta + 0.5j * p.kappa
-    return LambdaGamma(Lambda=base - p.mu, Gamma=base - 2 * p.mu)
+    return base - p.mu, base - 2 * p.mu
 
 
 def subspace_block(p: SystemParams, **arrays) -> np.ndarray:
@@ -179,8 +172,7 @@ def analytic_coefficients(p: SystemParams) -> AmplitudeState:
     """
     if p.theta != 0.0 or p.phi != 0.0:
         raise ValueError("analytic_coefficients requires theta = phi = 0")
-    lg = lambda_gamma(p)
-    lam, gam = lg.Lambda, lg.Gamma
+    lam, gam = lambda_gamma(p)
     e, j, lam_g = p.drive_E, p.hop_J, p.lambda_gain
 
     d1 = lam ** 2 - j ** 2

@@ -44,18 +44,6 @@ class FockBasis:
             raise IndexError("occupation (%d, %d) outside basis" % (n1, n2))
         return n1 * (self.n_max_2 + 1) + n2
 
-    def unflatten(self, idx: int) -> tuple[int, int]:
-        """Occupations (n1, n2) of flat index idx."""
-        if not 0 <= idx < self.dim:
-            raise IndexError("flat index %d outside [0, %d)" % (idx, self.dim))
-        return divmod(idx, self.n_max_2 + 1)
-
-    def state(self, n1: int, n2: int) -> np.ndarray:
-        """Unit basis vector |n1, n2>."""
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.flatten(n1, n2)] = 1.0
-        return v
-
 
 def annihilation(n_max: int) -> np.ndarray:
     """Single-mode annihilation operator on an (n_max+1)-level ladder."""
@@ -67,17 +55,10 @@ def annihilation(n_max: int) -> np.ndarray:
     return a
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, mode-1 factor on the left."""
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("tensor factors must be square")
-    return np.kron(a, b)
-
-
 def two_mode_ops(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation operators (a1, a2) on the flat two-mode space."""
-    a1 = tensor(annihilation(basis.n_max_1), np.eye(basis.n_max_2 + 1, dtype=complex))
-    a2 = tensor(np.eye(basis.n_max_1 + 1, dtype=complex), annihilation(basis.n_max_2))
+    a1 = np.kron(annihilation(basis.n_max_1), np.eye(basis.n_max_2 + 1, dtype=complex))
+    a2 = np.kron(np.eye(basis.n_max_1 + 1, dtype=complex), annihilation(basis.n_max_2))
     return a1, a2
 
 

@@ -93,11 +93,6 @@ def strong_params(**overrides) -> SystemParams:
     return p.replace(**overrides) if overrides else p
 
 
-def classify_regime(p: SystemParams, g_weak_max: float = 0.1) -> str:
-    """'weak' iff J < kappa and g_om well below omega_m, else 'strong'."""
-    return "weak" if (p.hop_J < p.kappa and p.g_om <= g_weak_max) else "strong"
-
-
 def cpb_detunings(p: SystemParams) -> tuple[float, float]:
     """Conventional-blockade dip locations (mu + J, mu - J).
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .amplitude import steady_amplitudes, analytic_coefficients
-from .lindblad import steady_g2
+from .fock import FockBasis
+from .lindblad import check_dimension, steady_g2
 from .model import SystemParams
 
 NEWTON_FD_STEP = 1e-9
@@ -37,6 +38,8 @@ class SearchGrid:
     n_lambda: int = 8
 
     def __post_init__(self):
+        if not np.all(np.isfinite((*self.delta_range, *self.lambda_range))):
+            raise ValueError("range ends must be finite")
         if self.delta_range[0] >= self.delta_range[1]:
             raise ValueError("delta_range must satisfy lo < hi")
         if self.lambda_range[0] >= self.lambda_range[1]:
@@ -154,8 +157,10 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
     are dropped, while at half that drive with lambda quartered
     (lambda_opt scales as E^2) they sit at ~3e-3.  Roots on two-photon
     resonances, where the hierarchy breaks down entirely, are dropped too.
-    Pass ``oracle_threshold=None`` to keep every root.
+    Pass ``oracle_threshold=None`` to keep every root.  A bad or oversized
+    oracle cutoff raises before the search.
     """
+    check_dimension(FockBasis(g2_cutoff, g2_cutoff))
     if p.drive_E <= 0:
         return []
     tol = 1e-10 * p.drive_E ** 2

@@ -5,8 +5,7 @@ from blockade.fock import FockBasis, two_mode_ops
 from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
                                NonUniqueSteadyStateError, UnphysicalStateError,
                                check_density_matrix, evolve, g2_from_rho,
-                               g2_mode, liouvillian, load_rho, save_rho,
-                               steady_g2, steady_state,
+                               g2_mode, liouvillian, steady_g2, steady_state,
                                steady_state_with_diagnostics)
 from blockade.model import (SystemParams, effective_hamiltonian, strong_params,
                             weak_params)
@@ -197,16 +196,29 @@ def test_check_density_matrix_raises():
         check_density_matrix(neg)
 
 
-def test_rho_round_trip(tmp_path):
-    basis = FockBasis(2, 2)
-    rho = steady_state(liouvillian(weak_params(delta=1e-3), basis))
-    path = tmp_path / "state.rho"
-    save_rho(path, rho)
-    raw = path.read_bytes()
-    assert raw[:4] == b"RHO1"
-    assert len(raw) == 16 + basis.dim ** 2 * 16
-    back = load_rho(path)
-    assert np.array_equal(back, rho)
-    path.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError, match="magic"):
-        load_rho(path)
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+def test_liouvillian_matches_written_out_master_equation(cutoff):
+    # -i[H, rho] + kappa * sum_j (a_j rho a_j^+ - {a_j^+ a_j, rho}/2) by
+    # matrix products on random states, against L @ vec(rho)
+    rng = np.random.default_rng(100 + cutoff)
+    basis = FockBasis(cutoff, cutoff)
+    ops = two_mode_ops(basis)
+    for _ in range(4):
+        p = SystemParams(delta=rng.uniform(-0.05, 0.05),
+                         lambda_gain=rng.uniform(-1e-3, 1e-3),
+                         theta=rng.uniform(-np.pi, np.pi),
+                         phi=rng.uniform(-np.pi, np.pi),
+                         hop_J=rng.uniform(0.0, 0.02),
+                         kappa=rng.uniform(1e-3, 1e-2),
+                         drive_E=rng.uniform(1e-5, 1e-3),
+                         g_om=rng.uniform(0.0, 0.3))
+        h = effective_hamiltonian(p, basis)
+        liouv = liouvillian(p, basis)
+        rho = _random_density(rng, basis.dim)
+        want = -1j * (h @ rho - rho @ h)
+        for a in ops:
+            n_op = a.conj().T @ a
+            want += p.kappa * (a @ rho @ a.conj().T
+                               - 0.5 * (n_op @ rho + rho @ n_op))
+        got = (liouv @ rho.ravel()).reshape(basis.dim, basis.dim)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

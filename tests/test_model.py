@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from blockade.fock import FockBasis, is_hermitian, two_mode_ops
-from blockade.model import (OMEGA_M_HZ_DEFAULT, SystemParams, classify_regime,
-                            cpb_detunings, effective_hamiltonian, load_params,
+from blockade.model import (OMEGA_M_HZ_DEFAULT, SystemParams, cpb_detunings,
+                            effective_hamiltonian, load_params,
                             non_hermitian_hamiltonian, params_from_dict,
                             strong_params, weak_params)
 
@@ -46,13 +46,6 @@ def test_param_validation():
 def test_param_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
         weak_params().replace(**{field: value})
-
-
-def test_classify_regime():
-    assert classify_regime(weak_params()) == "weak"
-    assert classify_regime(strong_params()) == "strong"
-    # J above kappa alone is enough to leave the weak regime
-    assert classify_regime(weak_params(hop_J=0.004)) == "strong"
 
 
 def test_cpb_detunings():

@@ -26,11 +26,20 @@ def test_search_grid_validation():
     assert g.starts().shape == (20, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("end", range(4))
+def test_search_grid_rejects_non_finite_range_ends(bad, end):
+    ends = [-0.01, 0.01, -5e-6, 5e-6]
+    ends[end] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SearchGrid(tuple(ends[:2]), tuple(ends[2:]))
+
+
 def test_target_residual_linear_limit():
     # no gain, no hopping, no Kerr: residual is the coherent pair amplitude
     p = SystemParams(drive_E=4e-5, kappa=0.002)
     delta = 2e-3
-    lam_den = lambda_gamma(p.replace(delta=delta)).Lambda
+    lam_den, _ = lambda_gamma(p.replace(delta=delta))
     expect = p.drive_E ** 2 / (np.sqrt(2) * lam_den ** 2)
     got = target_residual(delta, 0.0, p, cavity=1)
     assert got == pytest.approx(expect, rel=1e-9)

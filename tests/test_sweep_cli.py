@@ -7,6 +7,7 @@ import pytest
 
 from blockade.amplitude import WeakDrivingWarning, g2_cavity, \
     steady_amplitudes
+import blockade.optimize
 from blockade.cli import build_parser, cli_main
 from blockade.sweep import (FIGURE_IDS, ROW_FIELDS, SweepSpec, figure_dataset,
                             run_sweep, write_csv)
@@ -198,6 +199,14 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.fixture
+def no_search(monkeypatch):
+    """Fail the test if the optimal-pair search starts."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the root search ran")
+    monkeypatch.setattr(blockade.optimize, "_newton_roots", fail)
+
+
 @pytest.mark.parametrize("argv", [
     ["g2", "--preset", "weak", "--delta", "nan"],
     ["g2", "--preset", "weak", "--cutoff", "0"],
@@ -206,17 +215,21 @@ def test_cli_usage_errors(capsys):
     ["sweep", "--preset", "weak", "--range", "0.01", "-0.01"],
     ["sweep", "--preset", "weak", "--axis", "g", "--range", "-0.1", "0.1"],
     ["optimize", "--preset", "weak", "--starts", "2", "2"],
+    ["optimize", "--preset", "weak", "--starts", "4", "4", "--cutoff", "0"],
+    ["optimize", "--preset", "weak", "--delta-range", "0", "inf"],
+    ["optimize", "--preset", "weak", "--lambda-range", "nan", "1e-6"],
 ])
-def test_cli_configuration_errors_exit_1(argv, tmp_path, capsys):
+def test_cli_configuration_errors_exit_1(argv, tmp_path, capsys, no_search):
     out = tmp_path / "out.csv"
-    if argv[0] == "sweep":
+    if argv[0] in ("sweep", "optimize"):
         argv = argv + ["--out", str(out)]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error:")
     assert not out.exists()
 
 
-def test_cli_oversized_cutoff_fails_before_writing(tmp_path, capsys):
+def test_cli_oversized_cutoff_fails_before_writing(tmp_path, capsys,
+                                                   no_search):
     code = cli_main(["g2", "--preset", "weak", "--cutoff", "10"])
     assert code == 2
     out = tmp_path / "big.csv"
@@ -225,6 +238,13 @@ def test_cli_oversized_cutoff_fails_before_writing(tmp_path, capsys):
                      "--out", str(out)]) == code
     assert "DimensionOverflowError" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "big.json").exists()
+    # also where the search would find no root and print []
+    for extra in ([], ["--delta-range", "0.5", "0.6"]):
+        out = tmp_path / "big_opt.json"
+        assert cli_main(["optimize", "--preset", "weak", "--starts", "4", "4",
+                         "--cutoff", "10", "--out", str(out)] + extra) == code
+        assert "DimensionOverflowError" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_solver_error_exit_code(tmp_path, capsys):
