@@ -3,7 +3,8 @@
 Three independent consistency checks on the Liouvillian path:
 
 1. the constrained linear solve agrees with RK4 time evolution from
-   vacuum once transients have decayed;
+   vacuum once transients have decayed, and with the jump-map steady
+   state that the sweeps and the optimizer use;
 2. the linear (coherent) limit reproduces g2 = 1 and n = 4E^2/kappa^2;
 3. sweep datasets for a published figure panel can be regenerated as
    CSV + JSON metadata, ready for plotting.
@@ -15,7 +16,8 @@ import numpy as np
 
 from blockade import FockBasis, weak_params
 from blockade.fock import two_mode_ops
-from blockade.lindblad import evolve, g2_mode, liouvillian, steady_state
+from blockade.lindblad import (evolve, g2_mode, liouvillian, steady_rho,
+                               steady_state)
 from blockade.model import SystemParams
 from blockade.sweep import figure_dataset
 
@@ -31,6 +33,10 @@ def main():
     rho_t = evolve(liouv, vac, t_final=40 / p.kappa, dt=0.02 / p.kappa)
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho_t - rho_ss)))
     print("trace distance between evolve(40/kappa) and steady state: %.2e"
+          % dist)
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(steady_rho(p, basis)
+                                                  - rho_ss)))
+    print("trace distance between jump-map and dense steady states: %.2e"
           % dist)
 
     # 2. coherent limit

@@ -9,8 +9,8 @@ from .model import (SystemParams, cpb_detunings, effective_hamiltonian,
                     non_hermitian_hamiltonian, strong_params, weak_params)
 from .amplitude import (AmplitudeState, analytic_coefficients,
                         g2_from_amplitudes, steady_amplitudes)
-from .lindblad import (g2_from_rho, liouvillian, steady_g2, steady_state,
-                       evolve)
+from .lindblad import (g2_from_rho, liouvillian, steady_g2, steady_rho,
+                       steady_state, evolve)
 from .optimize import (OptimalPair, SearchGrid, find_optimal_pairs,
                        target_residual)
 from .sweep import SweepSpec, figure_dataset, run_sweep
@@ -21,7 +21,8 @@ __all__ = [
     "effective_hamiltonian", "non_hermitian_hamiltonian",
     "AmplitudeState", "steady_amplitudes", "analytic_coefficients",
     "g2_from_amplitudes",
-    "liouvillian", "steady_state", "evolve", "g2_from_rho", "steady_g2",
+    "liouvillian", "steady_state", "steady_rho", "evolve", "g2_from_rho",
+    "steady_g2",
     "OptimalPair", "SearchGrid", "find_optimal_pairs", "target_residual",
     "SweepSpec", "run_sweep", "figure_dataset",
 ]

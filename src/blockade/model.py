@@ -105,8 +105,18 @@ def cpb_detunings(p: SystemParams) -> tuple[float, float]:
 
 def effective_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Hermitian effective Hamiltonian on the truncated two-mode space."""
-    a1, a2 = two_mode_ops(basis)
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    return _hamiltonian(p, *two_mode_ops(basis))
+
+
+def non_hermitian_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
+    """Effective Hamiltonian with -i*kappa/2 * (n1 + n2) decay terms."""
+    return _non_hermitian(p, *two_mode_ops(basis))
+
+
+def _hamiltonian(p: SystemParams, a1: np.ndarray, a2: np.ndarray
+                 ) -> np.ndarray:
+    """``effective_hamiltonian`` from ladder operators the caller built."""
+    h = np.zeros(a1.shape, dtype=complex)
     opa_phase = np.exp(1j * p.theta)
     for a in (a1, a2):
         n = a.conj().T @ a
@@ -121,11 +131,11 @@ def effective_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
     return h
 
 
-def non_hermitian_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
-    """Effective Hamiltonian with -i*kappa/2 * (n1 + n2) decay terms."""
-    a1, a2 = two_mode_ops(basis)
+def _non_hermitian(p: SystemParams, a1: np.ndarray, a2: np.ndarray
+                   ) -> np.ndarray:
+    """``non_hermitian_hamiltonian`` from ladder operators the caller built."""
     n_tot = a1.conj().T @ a1 + a2.conj().T @ a2
-    return effective_hamiltonian(p, basis) - 0.5j * p.kappa * n_tot
+    return _hamiltonian(p, a1, a2) - 0.5j * p.kappa * n_tot
 
 
 def params_from_dict(d: dict, omega_m_hz: float = OMEGA_M_HZ_DEFAULT

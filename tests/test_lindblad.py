@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
+import blockade.lindblad
+from blockade.cli import cli_main
 from blockade.fock import FockBasis, two_mode_ops
 from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
-                               NonUniqueSteadyStateError, UnphysicalStateError,
-                               check_density_matrix, evolve, g2_from_rho,
-                               g2_mode, liouvillian, steady_g2, steady_state,
+                               NonUniqueSteadyStateError,
+                               SingularLiouvillianError,
+                               SteadyStateConvergenceError,
+                               UnphysicalStateError, check_density_matrix,
+                               evolve, g2_from_rho, g2_mode, liouvillian,
+                               steady_g2, steady_rho, steady_state,
                                steady_state_with_diagnostics)
-from blockade.model import (SystemParams, effective_hamiltonian, strong_params,
+from blockade.model import (SystemParams, effective_hamiltonian,
+                            non_hermitian_hamiltonian, strong_params,
                             weak_params)
+from blockade.sweep import SweepSpec, run_sweep
 
 
 def _random_density(rng, d):
@@ -180,9 +187,142 @@ def test_cavity_swap_symmetry():
 def test_steady_g2_convenience_matches_manual():
     p = weak_params(delta=7.3e-5, lambda_gain=0.93e-6)
     basis = FockBasis(3, 3)
-    rho = steady_state(liouvillian(p, basis))
+    rho = steady_rho(p, basis)
     a1, a2 = two_mode_ops(basis)
     assert steady_g2(p, cutoff=3) == g2_from_rho(rho, a1, a2)
+
+
+# (g2_1, g2_2, n1, n2) at cutoff 3 from a 30-digit mpmath LU solve of the
+# trace-constrained dense Liouvillian; _refined_dense_rho below agrees with
+# them to 7e-15.  At point B the float64 dense solve is off by 5.6e-8 in
+# g2_2.
+MPMATH_POINTS = [
+    (strong_params(delta=-0.0925, lambda_gain=2.2e-6),
+     (104545.14367835899, 1373360.2745981232,
+      8.8330834923005745e-7, 2.4359659623245162e-7)),
+    (SystemParams(delta=-0.03627517436691988,
+                  lambda_gain=3.7602659028314196e-06,
+                  theta=2.2514114248945676, phi=4.759422082034005,
+                  hop_J=0.0009328932565245629, kappa=0.002,
+                  drive_E=0.0014735629072595664, g_om=0.041614607737777615),
+     (0.99979732684371949, 7050.6959187177837,
+      0.0018208564869485587, 1.3502833867974453e-6)),
+]
+
+
+@pytest.mark.parametrize("p, want", MPMATH_POINTS, ids=["A", "B"])
+def test_steady_rho_matches_high_precision_solve(p, want):
+    basis = FockBasis(3, 3)
+    got = g2_from_rho(steady_rho(p, basis), *two_mode_ops(basis))
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12)
+
+
+def _refined_dense_rho(p, basis):
+    """The dense trace-row solve plus one step of iterative refinement with
+    the residual in long double.  Unrefined, the float64 LU loses up to
+    ~1e-9 relative in the g2 of a weakly occupied mode (point B: 5.6e-8)."""
+    d = basis.dim
+    m = liouvillian(p, basis, allow_large=True)
+    m[0] = 0.0
+    m[0, ::d + 1] = 1.0
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    x = np.linalg.solve(m, b)
+    x += np.linalg.solve(m, (b - m.astype(np.clongdouble) @ x).astype(complex))
+    rho = x.reshape(d, d)
+    return 0.5 * (rho + rho.conj().T)
+
+
+def test_steady_rho_matches_dense_solve_on_random_points():
+    rng = np.random.default_rng(20261018)
+    kappa = 0.002
+    for i in range(100):
+        p = SystemParams(delta=rng.uniform(-0.1, 0.1),
+                         lambda_gain=rng.uniform(-2e-5, 2e-5),
+                         theta=rng.uniform(-np.pi, np.pi),
+                         phi=rng.uniform(-np.pi, np.pi),
+                         hop_J=rng.uniform(0.0, 0.02), kappa=kappa,
+                         drive_E=kappa * 10 ** rng.uniform(np.log10(0.002), 0),
+                         g_om=rng.uniform(0.0, 0.25))
+        cutoff = (2, 3, 4, 2, 3, 4, 2, 3, 4, 5)[i % 10]
+        basis = FockBasis(cutoff, cutoff)
+        rho = steady_rho(p, basis)
+        check_density_matrix(rho)
+        h = non_hermitian_hamiltonian(p, basis)
+        resid = -1j * (h @ rho - rho @ h.conj().T)
+        for a in two_mode_ops(basis):
+            resid += kappa * a @ rho @ a.conj().T
+        assert np.max(np.abs(resid)) <= 1e-12 * kappa, (i, p)
+        ref = _refined_dense_rho(p, basis)
+        for a in two_mode_ops(basis):
+            g2_ref, n_ref = g2_mode(ref, a)
+            if n_ref >= 1e-5:
+                got = g2_mode(rho, a)[0]
+                assert got == pytest.approx(g2_ref, rel=1e-10), (i, p)
+
+
+# Points where the plain jump map is slow or the stopping rule matters:
+# pair creation dominating the drive (the map alternates between photon-
+# number parities, eigenvalue -0.993: ~4400 plain steps), a cavity-2
+# occupation whose rounding floor sits at ~5e-12 relative, a strongly
+# driven linear cavity whose change falls non-monotonically, and a weakly
+# driven one whose empty cavity 2 carries rounding noise of ~1e-37.
+HARD_POINTS = [
+    (SystemParams(delta=-0.07764700237617857,
+                  lambda_gain=-1.2169459860131623e-05,
+                  theta=-2.728760828657566, phi=2.069175434121057,
+                  hop_J=0.019256373236116328, kappa=0.002,
+                  drive_E=4.363362927544325e-06, g_om=0.19731341096789395), 2),
+    (SystemParams(delta=0.02461875814438655,
+                  lambda_gain=-6.161669508200599e-08,
+                  theta=-2.9093680221540206, phi=2.0928961572761597,
+                  hop_J=0.0010334787823879199, kappa=0.002,
+                  drive_E=0.0006850377653596259, g_om=0.20318741085419406), 3),
+    (SystemParams(drive_E=0.002, kappa=0.002), 5),
+    (SystemParams(drive_E=4e-5, kappa=0.002), 5),
+]
+
+
+@pytest.mark.parametrize("p, cutoff", HARD_POINTS,
+                         ids=["pair-dominated", "rounding-floor",
+                              "strong-drive", "empty-mode"])
+def test_steady_rho_hard_points(monkeypatch, p, cutoff):
+    monkeypatch.setattr(blockade.lindblad, "MAX_ITERATIONS", 200)
+    basis = FockBasis(cutoff, cutoff)
+    rho = steady_rho(p, basis)
+    ref = _refined_dense_rho(p, basis)
+    for a in two_mode_ops(basis):
+        if np.trace(a.conj().T @ a @ ref).real < 1e-12:
+            continue                    # cavity 2 of the J = 0 points
+        for got, want in zip(g2_mode(rho, a), g2_mode(ref, a)):
+            assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_steady_rho_dark_vacuum():
+    vacuum = np.zeros((16, 16), dtype=complex)
+    vacuum[0, 0] = 1.0
+    for p in (weak_params(drive_E=0.0), strong_params(drive_E=0.0, theta=1.0)):
+        assert np.array_equal(steady_rho(p, FockBasis(3, 3)), vacuum)
+    # at cutoff 1 there is no pair state for the gain to fill
+    rho = steady_rho(weak_params(drive_E=0.0, lambda_gain=1e-6),
+                     FockBasis(1, 1))
+    assert rho[0, 0] == 1.0 and np.count_nonzero(rho) == 1
+
+
+def test_steady_rho_iteration_cap(monkeypatch, capsys):
+    monkeypatch.setattr(blockade.lindblad, "MAX_ITERATIONS", 1)
+    p = weak_params(delta=7.3e-5, lambda_gain=0.93e-6)
+    with pytest.raises(SteadyStateConvergenceError, match="1 steps"):
+        steady_rho(p, FockBasis(3, 3))
+    assert issubclass(SteadyStateConvergenceError, SingularLiouvillianError)
+    # a sweep flags the point in its row; the g2 command exits 2
+    rows = run_sweep(SweepSpec(axis="delta", range=(0.0, 1e-3), points=2,
+                               base=p, cavity="1")).rows
+    assert all(row["g2_1_me"] == "err:SteadyStateConvergenceError"
+               and isinstance(row["g2_1_amp"], float) for row in rows)
+    assert cli_main(["g2", "--preset", "weak", "--method", "me"]) == 2
+    assert "SteadyStateConvergenceError" in capsys.readouterr().err
 
 
 def test_check_density_matrix_raises():
