@@ -28,8 +28,6 @@ import numpy as np
 # tracer also wraps it here by name.
 from .model import SystemParams, non_hermitian_hamiltonian  # noqa: F401
 
-# Two-excitation subspace ordering used throughout this module.
-TWO_EXCITATION_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
 STACKED_FIELDS = ("delta", "lambda_gain", "hop_J", "g_om")
 
 _DET_FLOOR = 1e-300
@@ -62,16 +60,6 @@ class AmplitudeState:
     c02: complex
     c20: complex
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c00, self.c01, self.c10,
-                         self.c11, self.c02, self.c20])
-
-    def hierarchy_satisfied(self) -> bool:
-        """Weak-driving ordering |c00| >> one-photon >> two-photon."""
-        one = max(abs(self.c01), abs(self.c10))
-        two = max(abs(self.c11), abs(self.c02), abs(self.c20))
-        return abs(self.c00) > 10 * one and (one == 0 or one > 10 * two)
-
 
 def lambda_gamma(p: SystemParams) -> tuple[complex, complex]:
     """Published one- and two-photon denominators (Lambda, Gamma).
@@ -83,7 +71,8 @@ def lambda_gamma(p: SystemParams) -> tuple[complex, complex]:
 
 
 def subspace_block(p: SystemParams, **arrays) -> np.ndarray:
-    """Non-Hermitian Hamiltonian on TWO_EXCITATION_LABELS, shape (N, 6, 6).
+    """Non-Hermitian Hamiltonian on the two-excitation subspace, shape
+    (N, 6, 6), in the order of AmplitudeState's fields (|00> to |20>).
 
     Rates in STACKED_FIELDS given as arrays broadcast together and override
     p's.  The entries round as those of ``non_hermitian_hamiltonian`` on

@@ -65,10 +65,6 @@ class SteadyStateConvergenceError(SingularLiouvillianError):
     """Jump-map iteration did not converge within MAX_ITERATIONS steps."""
 
 
-class NonUniqueSteadyStateError(np.linalg.LinAlgError):
-    """Liouvillian null space has more than one direction."""
-
-
 class EmptyModeError(ZeroDivisionError):
     """g2(0) requested for a mode with negligible occupation."""
 
@@ -188,30 +184,23 @@ def check_density_matrix(rho: np.ndarray, trace_tol: float = TRACE_TOL,
         raise UnphysicalStateError("negative eigenvalue %g" % w.min())
 
 
-def steady_state(liouv: np.ndarray, check_uniqueness: bool = False
-                 ) -> np.ndarray:
+def steady_state(liouv: np.ndarray) -> np.ndarray:
     """Steady density matrix from the trace-constrained linear solve.
 
     One row of L is replaced by the vectorized-trace row with right-hand
     side 1; the solution is Hermitized and validated.  The pre-Hermitization
     asymmetry is available via ``steady_state_with_diagnostics``.
     """
-    rho, _ = steady_state_with_diagnostics(liouv, check_uniqueness)
+    rho, _ = steady_state_with_diagnostics(liouv)
     return rho
 
 
-def steady_state_with_diagnostics(liouv: np.ndarray,
-                                  check_uniqueness: bool = False
+def steady_state_with_diagnostics(liouv: np.ndarray
                                   ) -> tuple[np.ndarray, dict]:
     d2 = liouv.shape[0]
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise ValueError("superoperator dimension is not a perfect square")
-    if check_uniqueness:
-        ns = np.sum(np.linalg.svd(liouv, compute_uv=False) < 1e-10 * d)
-        if ns != 1:
-            raise NonUniqueSteadyStateError(
-                "Liouvillian null space has dimension %d" % ns)
     m = liouv.copy()
     trace_row = np.zeros(d2, dtype=complex)
     trace_row[::d + 1] = 1.0        # vec indices of diagonal entries

@@ -7,6 +7,12 @@ Hamiltonian convention: a pair reported at delta corresponds to the
 Hamiltonian evaluated at -delta.  The residual is the complex conjugate of
 the solve-path two-photon amplitude at that flipped detuning, which makes
 it coincide with the closed-form coefficient at delta.
+
+Newton runs from every start of a SearchGrid in lockstep: per iteration,
+one stacked residual call takes the Jacobian stencils of all active starts
+and one takes each start's whole step-halving ladder, of which the first
+point that lowers the residual norm is kept.  Each start follows its lone
+path bit for bit; ladder points past the kept one are wasted work.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .amplitude import steady_amplitudes, analytic_coefficients
+from .amplitude import (analytic_coefficients, steady_amplitude_stack,
+                        steady_amplitudes)
 from .fock import FockBasis
 from .lindblad import check_dimension, steady_g2
 from .model import SystemParams
@@ -26,6 +33,9 @@ NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 20
 DEDUPE_DIST = 1e-8
 CPB_PROXIMITY_KAPPAS = 5.0
+# the stencil offsets dx_i (row i) and the ladder scales 1, 1/2, 1/4, ...
+_FD = NEWTON_FD_STEP * np.eye(2)
+_LADDER = np.ldexp(1.0, -np.arange(NEWTON_MAX_HALVINGS))
 
 
 @dataclass(frozen=True)
@@ -84,33 +94,75 @@ def target_residual(delta: float, lam: float, p: SystemParams,
     return complex(np.conj(c))
 
 
-def _newton_2d(fun, x0: np.ndarray, tol: float) -> np.ndarray | None:
-    """Damped Newton on R^2 -> R^2 with central-difference Jacobian."""
-    x = x0.astype(float).copy()
-    f = fun(x)
+def target_residual_stack(x: np.ndarray, p: SystemParams, cavity: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """``target_residual`` at each row (delta, lambda) of x, bit for bit, as
+    (N, 2) rows (real, imag); and whether a block is singular there."""
+    if p.theta != 0.0 or p.phi != 0.0:
+        raise ValueError("target_residual requires theta = phi = 0")
+    c, singular = steady_amplitude_stack(p, delta=-x[:, 0],
+                                         lambda_gain=x[:, 1])
+    c = np.conj(c[:, 5 if cavity == 1 else 4])          # c20 or c02
+    return np.stack([c.real, c.imag], axis=1), singular != ""
+
+
+def _evaluate(fun, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fun at the finite points (last axis) of x; the others are void."""
+    ok = np.isfinite(x).all(axis=-1)
+    f, void = np.full(x.shape, np.nan), ~ok
+    f[ok], void[ok] = fun(x[ok])
+    return f, void
+
+
+def _norms(f: np.ndarray) -> np.ndarray:
+    # as np.linalg.norm of each vector: both take the BLAS dot, where
+    # norm(f, axis=-1) sums the squares and can differ by an ulp
+    return np.sqrt((f[..., None, :] @ f[..., None])[..., 0, 0])
+
+
+def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """jac^-1 (-f) per row; NaN rows where jac is singular."""
+    try:
+        return np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:       # bisect the stack to find them
+        if len(f) == 1:
+            return np.full(f.shape, np.nan)
+        h = len(f) // 2
+        return np.concatenate([_newton_steps(jac[:h], f[:h]),
+                               _newton_steps(jac[h:], f[h:])])
+
+
+def _newton_paths(fun, starts: np.ndarray, tol: float) -> np.ndarray:
+    """End points of damped Newton from each row of starts, in lockstep.
+
+    fun maps (N, 2) points to residuals and void flags.  A start ends on a
+    NaN row if its path meets a void or non-finite point (up to its kept
+    ladder point), if its Jacobian is singular, if no ladder point lowers
+    the norm, or if the norm is above tol after NEWTON_MAX_ITER steps.
+    """
+    x = np.array(starts, dtype=float)
+    f, void = _evaluate(fun, x)
+    live = ~void
     for _ in range(NEWTON_MAX_ITER):
-        if np.linalg.norm(f) <= tol:
-            return x
-        jac = np.empty((2, 2))
-        for i in range(2):
-            dx = np.zeros(2)
-            dx[i] = NEWTON_FD_STEP
-            jac[:, i] = (fun(x + dx) - fun(x - dx)) / (2 * NEWTON_FD_STEP)
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None
-        scale = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS):
-            f_new = fun(x + scale * step)
-            if np.linalg.norm(f_new) < np.linalg.norm(f):
-                break
-            scale *= 0.5
-        else:
-            return None
-        x = x + scale * step
-        f = f_new
-    return x if np.linalg.norm(f) <= tol else None
+        act = np.flatnonzero(live & (_norms(f) > tol))
+        if not act.size:
+            break
+        xa, fa = x[act], f[act]
+        # column i of the Jacobian from the stencil points x +/- dx_i
+        fd, void_fd = _evaluate(fun, np.concatenate(
+            [xa[:, None] + _FD, xa[:, None] - _FD], axis=1))
+        jac = (fd[:, :2] - fd[:, 2:]) / (2 * NEWTON_FD_STEP)
+        step = _newton_steps(jac.transpose(0, 2, 1), fa)
+        ladder = xa[:, None] + _LADDER[:, None] * step[:, None]
+        fl, void_fl = _evaluate(fun, ladder)
+        better = _norms(fl) < _norms(fa)[:, None]
+        k = better.argmax(axis=1)                       # the first improving
+        reached = np.arange(NEWTON_MAX_HALVINGS) <= k[:, None]
+        live[act] = (better.any(axis=1) & ~void_fd.any(axis=1)
+                     & ~(void_fl & reached).any(axis=1))
+        rows = np.arange(len(act))
+        x[act], f[act] = ladder[rows, k], fl[rows, k]
+    return np.where((live & (_norms(f) <= tol))[:, None], x, np.nan)
 
 
 def _newton_roots(fun, grid: SearchGrid, tol: float,
@@ -118,18 +170,14 @@ def _newton_roots(fun, grid: SearchGrid, tol: float,
     """Distinct Newton roots from the grid starts, sorted by delta.
 
     With pad, a root must lie in the grid box widened on each side by pad
-    times its extent.  Newton divergence at a start point is skipped.
+    times its extent.  A start dropped by ``_newton_paths`` is skipped.
     """
     (d_lo, d_hi), (l_lo, l_hi) = grid.delta_range, grid.lambda_range
     d_pad, l_pad = (pad or 0.0) * (d_hi - d_lo), (pad or 0.0) * (l_hi - l_lo)
     roots: list[np.ndarray] = []
-    for x0 in grid.starts():
-        try:
-            x = _newton_2d(fun, x0, tol)
-        except (np.linalg.LinAlgError, ArithmeticError):
-            continue
-        if x is None or any(np.linalg.norm(x - r) < DEDUPE_DIST
-                            for r in roots):
+    for x in _newton_paths(fun, grid.starts(), tol):
+        if np.isnan(x).any() or any(np.linalg.norm(x - r) < DEDUPE_DIST
+                                    for r in roots):
             continue
         if pad is not None and not (d_lo - d_pad <= x[0] <= d_hi + d_pad and
                                     l_lo - l_pad <= x[1] <= l_hi + l_pad):
@@ -144,9 +192,11 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
                        ) -> list[OptimalPair]:
     """All distinct antibunching roots reachable from the grid starts.
 
-    Roots are deduplicated, restricted to a 10%-padded grid box, annotated
-    with the master-equation g2 of the target cavity, classified, and
-    sorted by delta.  Newton divergence at a start point is skipped.
+    Newton runs from all starts in lockstep on ``target_residual_stack``
+    (see the module docstring).  Its roots are deduplicated, restricted to
+    a 10%-padded grid box and sorted by delta; each then takes one
+    ``target_residual`` call for its residual and one ``steady_g2`` call
+    for the master-equation g2 of the target cavity, and is classified.
 
     A returned pair is certified by the master-equation oracle: roots whose
     exact g2 at the drive ``p.drive_E`` exceeds ``oracle_threshold`` are
@@ -165,12 +215,9 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
         return []
     tol = 1e-10 * p.drive_E ** 2
 
-    def fun(x):
-        r = target_residual(x[0], x[1], p, cavity)
-        return np.array([r.real, r.imag])
-
     pairs = []
-    for x in _newton_roots(fun, grid, tol, pad=0.1):
+    for x in _newton_roots(lambda x: target_residual_stack(x, p, cavity),
+                           grid, tol, pad=0.1):
         resid = abs(target_residual(x[0], x[1], p, cavity))
         g2 = steady_g2(p.replace(delta=-x[0], lambda_gain=x[1]),
                        cutoff=g2_cutoff)[cavity - 1]
@@ -186,18 +233,26 @@ def closed_form_roots(p: SystemParams, cavity: int, grid: SearchGrid
                       ) -> list[tuple[float, float]]:
     """Roots of the printed closed-form coefficients, for typo isolation.
 
-    Same Newton machinery applied to the published formulas; compared
-    against the solve-path roots when the two disagree by more than
-    1e-6 in either coordinate.
+    Same lockstep Newton applied to the published formulas, one point at
+    a time; compared against the solve-path roots when the two disagree by
+    more than 1e-6 in either coordinate.
     """
     if p.drive_E <= 0:
         return []
     tol = 1e-10 * p.drive_E ** 2
 
     def fun(x):
-        s = analytic_coefficients(p.replace(delta=x[0], lambda_gain=x[1]))
-        c = s.c20 if cavity == 1 else s.c02
-        return np.array([c.real, c.imag])
+        f, void = np.full(x.shape, np.nan), np.zeros(len(x), dtype=bool)
+        for k, (delta, lam) in enumerate(x):
+            try:
+                s = analytic_coefficients(p.replace(delta=delta,
+                                                    lambda_gain=lam))
+            except ArithmeticError:     # a denominator vanishes or overflows
+                void[k] = True
+                continue
+            c = s.c20 if cavity == 1 else s.c02
+            f[k] = c.real, c.imag
+        return f, void
 
     return [(float(r[0]), float(r[1])) for r in _newton_roots(fun, grid, tol)]
 

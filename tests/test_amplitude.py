@@ -1,10 +1,10 @@
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from blockade.amplitude import (TWO_EXCITATION_LABELS, AmplitudeState,
-                                ResonanceSingularityError,
+from blockade.amplitude import (AmplitudeState, ResonanceSingularityError,
                                 UndefinedCorrelationError, WeakDrivingWarning,
                                 analytic_coefficients, g2_cavity,
                                 g2_from_amplitudes, lambda_gamma,
@@ -71,7 +71,10 @@ def test_weak_driving_warning():
 def test_hierarchy_at_working_point():
     s = steady_amplitudes(weak_params(delta=1e-3, lambda_gain=0.93e-6))
     assert s.c00 == 1.0
-    assert s.hierarchy_satisfied()
+    # weak-driving ordering |c00| >> one-photon >> two-photon
+    one = max(abs(s.c01), abs(s.c10))
+    two = max(abs(s.c11), abs(s.c02), abs(s.c20))
+    assert abs(s.c00) > 10 * one > 100 * two
 
 
 def test_optimal_pair_kills_two_photon_amplitude():
@@ -119,7 +122,7 @@ def test_drive_scaling_invariance_without_gain():
 def test_arbitrary_phases_accepted_by_solver():
     p = weak_params(delta=1e-3, lambda_gain=1e-6, theta=0.4, phi=1.3)
     s = steady_amplitudes(p)
-    assert np.all(np.isfinite(s.as_array()))
+    assert np.all(np.isfinite(astuple(s)))
 
 
 def test_analytic_requires_zero_phases():
@@ -179,11 +182,6 @@ def test_singularity_detection():
         steady_amplitudes(p)
 
 
-def test_as_array_order():
-    s = AmplitudeState(1, 2, 3, 4, 5, 6)
-    assert np.array_equal(s.as_array(), np.array([1, 2, 3, 4, 5, 6]))
-
-
 def _random_params(rng):
     return SystemParams(delta=rng.uniform(-0.1, 0.1),
                         lambda_gain=rng.uniform(-1e-5, 1e-5),
@@ -199,7 +197,8 @@ def test_direct_block_equals_fock_projection():
     # the block is written from matrix elements, yet must round exactly as
     # the 9x9 Fock-space Hamiltonian sliced to n1 + n2 <= 2
     basis = FockBasis(2, 2)
-    idx = [basis.flatten(n1, n2) for n1, n2 in TWO_EXCITATION_LABELS]
+    idx = [basis.flatten(n1, n2) for n1, n2 in
+           ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))]
     rng = np.random.default_rng(2011)
     for _ in range(300):
         p = _random_params(rng)
@@ -219,7 +218,7 @@ def test_stack_equals_points_bit_for_bit():
     assert amps.shape == (n, 6) and not singular.any()
     for k in range(n):
         point = p.replace(**{f: float(v[k]) for f, v in arrays.items()})
-        assert np.array_equal(amps[k], steady_amplitudes(point).as_array())
+        assert np.array_equal(amps[k], astuple(steady_amplitudes(point)))
     # scalars broadcast against the stacked field
     block = subspace_block(p, delta=arrays["delta"])
     assert block.shape == (n, 6, 6)

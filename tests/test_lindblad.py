@@ -5,7 +5,6 @@ import blockade.lindblad
 from blockade.cli import cli_main
 from blockade.fock import FockBasis, two_mode_ops
 from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
-                               NonUniqueSteadyStateError,
                                SingularLiouvillianError,
                                SteadyStateConvergenceError,
                                UnphysicalStateError, check_density_matrix,
@@ -71,15 +70,6 @@ def test_steady_state_residual_and_asymmetry():
         assert diag["residual_inf"] <= 1e-10
         assert diag["hermitization_asymmetry"] <= 1e-10
         check_density_matrix(rho)
-
-
-def test_uniqueness_check():
-    with pytest.raises(NonUniqueSteadyStateError):
-        steady_state(np.zeros((4, 4), dtype=complex), check_uniqueness=True)
-    basis = FockBasis(2, 2)
-    liouv = liouvillian(weak_params(delta=1e-3), basis)
-    rho = steady_state(liouv, check_uniqueness=True)
-    check_density_matrix(rho)
 
 
 def test_dimension_guard():

@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import blockade.optimize
 from blockade.amplitude import lambda_gamma
 from blockade.model import SystemParams, strong_params, weak_params
-from blockade.optimize import (STRONG_GRID, WEAK_GRID, OptimalPair, SearchGrid,
+from blockade.optimize import (NEWTON_FD_STEP, NEWTON_MAX_HALVINGS,
+                               NEWTON_MAX_ITER, STRONG_GRID, WEAK_GRID,
+                               OptimalPair, SearchGrid, _newton_paths, _norms,
                                classify_mechanism, closed_form_roots,
                                find_optimal_pairs, pairs_to_json,
-                               target_residual)
+                               target_residual, target_residual_stack)
 
 # Published optimal pairs on the reporting axis (cavity 1).
 WEAK_PAIR = (-0.73e-4, 0.93e-6)
@@ -65,6 +68,172 @@ def test_target_residual_vanishes_at_weak_optimum():
 def test_target_residual_requires_zero_phases():
     with pytest.raises(ValueError):
         target_residual(0.0, 0.0, weak_params(theta=0.3), 1)
+    with pytest.raises(ValueError):
+        target_residual_stack(np.zeros((1, 2)), weak_params(phi=0.3), 1)
+
+
+@pytest.mark.parametrize("preset, cavity", [(weak_params, 1),
+                                            (strong_params, 2)])
+def test_residual_stack_equals_target_residual(preset, cavity):
+    rng = np.random.default_rng(200)
+    x = np.column_stack([rng.uniform(-0.1, 0.1, 200),
+                         rng.uniform(-5e-6, 5e-6, 200)])
+    p = preset()
+    f, void = target_residual_stack(x, p, cavity)
+    assert not void.any()
+    for (delta, lam), row, norm in zip(x, f, _norms(f)):
+        r = target_residual(delta, lam, p, cavity)
+        assert row.tobytes() == np.array([r.real, r.imag]).tobytes()
+        assert norm == np.linalg.norm(row)      # as _newton_paths compares
+
+
+def _search(preset, n_delta, n_lambda):
+    """The residual, starts and tolerance of find_optimal_pairs, cavity 1."""
+    p = preset()
+    grid = WEAK_GRID if preset is weak_params else STRONG_GRID
+    starts = SearchGrid(grid.delta_range, grid.lambda_range,
+                        n_delta, n_lambda).starts()
+    return (lambda x: target_residual_stack(x, p, 1)), starts, \
+        1e-10 * p.drive_E ** 2
+
+
+def _lone_newton(fun, x, tol):
+    """Damped Newton from one start, one point at a time: the reference
+    path of ``_newton_paths``.  None where a start is dropped."""
+    def res(y):
+        f, void = fun(y[None])
+        if void[0]:
+            raise ArithmeticError("void residual")
+        return f[0]
+
+    try:
+        f = res(x)
+        for _ in range(NEWTON_MAX_ITER):
+            if np.linalg.norm(f) <= tol:
+                return x
+            jac = np.empty((2, 2))
+            for i in range(2):
+                dx = np.zeros(2)
+                dx[i] = NEWTON_FD_STEP
+                jac[:, i] = (res(x + dx) - res(x - dx)) / (2 * NEWTON_FD_STEP)
+            step = np.linalg.solve(jac, -f)
+            scale = 1.0
+            for _ in range(NEWTON_MAX_HALVINGS):
+                f_new = res(x + scale * step)
+                if np.linalg.norm(f_new) < np.linalg.norm(f):
+                    break
+                scale *= 0.5
+            else:
+                return None
+            x, f = x + scale * step, f_new
+        return x if np.linalg.norm(f) <= tol else None
+    except (np.linalg.LinAlgError, ArithmeticError):
+        return None
+
+
+@pytest.mark.parametrize("preset, n_delta", [(weak_params, 4),
+                                             (strong_params, 6)])
+def test_lockstep_paths_equal_lone_newton(preset, n_delta):
+    fun, starts, tol = _search(preset, n_delta, 4)
+    paths = _newton_paths(fun, starts, tol)
+    for x0, end in zip(starts, paths):
+        ref = _lone_newton(fun, x0, tol)
+        if ref is None:
+            assert np.isnan(end).all()
+        else:
+            assert end.tobytes() == ref.tobytes()
+
+
+def test_lockstep_starts_are_independent():
+    # each start's path must not depend on which starts share its batch
+    fun, starts, tol = _search(strong_params, 6, 4)
+    full = _newton_paths(fun, starts, tol)
+    order = np.random.default_rng(5).permutation(len(starts))
+    for batch in np.array_split(order, 5):
+        np.testing.assert_array_equal(_newton_paths(fun, starts[batch], tol),
+                                      full[batch])
+
+
+def _first_points(fun, start, tol):
+    """What a lone start evaluates up to its first ladder: the start, its
+    stencil points and its ladder points."""
+    calls = []
+
+    def recording(x):
+        calls.append(x.copy())
+        return fun(x)
+
+    _newton_paths(recording, start[None], tol)
+    return calls[:3]
+
+
+def test_singular_point_on_a_path_drops_only_its_start(monkeypatch):
+    fun, starts, tol = _search(weak_params, 4, 4)
+    free = _newton_paths(fun, starts, tol)
+    (x0,), stencil, ladder = _first_points(fun, starts[4], tol)
+    norm0 = np.linalg.norm(fun(x0[None])[0][0])
+    kept = next(k for k, f in enumerate(fun(ladder)[0])
+                if np.linalg.norm(f) < norm0)
+    stack = blockade.optimize.steady_amplitude_stack
+    # flagged: a stencil point, the kept ladder point, the ladder points
+    # past it (which a lone start never evaluates)
+    for flagged, dropped in ((stencil[2:3], True),
+                             (ladder[kept:kept + 1], True),
+                             (ladder[kept + 1:], False)):
+        def singular_there(p, flagged=flagged, **arrays):
+            c, singular = stack(p, **arrays)
+            at = ((arrays["delta"][:, None] == -flagged[:, 0])
+                  & (arrays["lambda_gain"][:, None] == flagged[:, 1]))
+            return c, np.where(at.any(axis=1), "two-photon", singular)
+
+        monkeypatch.setattr(blockade.optimize, "steady_amplitude_stack",
+                            singular_there)
+        paths = _newton_paths(fun, starts, tol)
+        others = np.arange(len(starts)) != 4
+        np.testing.assert_array_equal(paths[others], free[others])
+        if dropped:
+            assert np.isnan(paths[4]).all()
+        else:
+            assert paths[4].tobytes() == free[4].tobytes()
+
+
+def test_singular_jacobian_drops_its_start():
+    # (x0^2 - 1, x1) has a singular Jacobian at x0 = 0
+    def parabola(x):
+        return (np.column_stack([x[:, 0] ** 2 - 1.0, x[:, 1]]),
+                np.zeros(len(x), dtype=bool))
+
+    paths = _newton_paths(parabola, np.array([[0.0, 0.2], [2.0, 0.5],
+                                              [-0.5, 0.1]]), 1e-12)
+    assert np.isnan(paths[0]).all()
+    np.testing.assert_allclose(paths[1:], [[1, 0], [-1, 0]], atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_iterate_drops_its_start(monkeypatch):
+    fun, starts, tol = _search(weak_params, 4, 4)
+    free = _newton_paths(fun, starts, tol)
+    assert np.isfinite(free[4]).all()       # the start of the weak root
+    stack = blockade.optimize.steady_amplitude_stack
+
+    def overflowing(p, **arrays):
+        # the pair amplitude overflows at that start, so its Newton step
+        # and the next iterate are not finite
+        c, singular = stack(p, **arrays)
+        at = ((arrays["delta"] == -starts[4, 0])
+              & (arrays["lambda_gain"] == starts[4, 1]))
+        c[at, 5] = np.inf
+        return c, singular
+
+    monkeypatch.setattr(blockade.optimize, "steady_amplitude_stack",
+                        overflowing)
+    paths = _newton_paths(fun, starts, tol)
+    assert np.isnan(paths[4]).all()
+    others = np.arange(len(starts)) != 4
+    np.testing.assert_array_equal(paths[others], free[others])
+    grid = SearchGrid(WEAK_GRID.delta_range, WEAK_GRID.lambda_range, 4, 4)
+    pairs = find_optimal_pairs(weak_params(), 1, grid, oracle_threshold=None)
+    assert [q.delta_opt > 0 for q in pairs] == [True]
 
 
 def test_no_roots_without_drive():
