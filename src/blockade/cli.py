@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: sweep, optimize, figure, g2, params.  Exit codes: 0 success,
-1 usage error (including a configuration that a SystemParams, SweepSpec,
-SearchGrid or FockBasis check rejects), 2 solver error.
+1 usage error (also a configuration that a SystemParams, SweepSpec,
+SearchGrid or FockBasis check rejects, or an unopenable file), 2 solver error.
 
 Detunings given on the command line (``--delta``, ``optimize`` output)
 follow the published reporting axis, i.e. the sign convention of the
@@ -22,9 +22,8 @@ import numpy as np
 
 from .amplitude import (ResonanceSingularityError, UndefinedCorrelationError,
                         g2_from_amplitudes, steady_amplitudes)
-from .lindblad import (DimensionOverflowError, EmptyModeError,
-                       SingularLiouvillianError, UnphysicalStateError,
-                       steady_g2)
+from .lindblad import (EmptyModeError, SingularLiouvillianError,
+                       UnphysicalStateError, steady_g2)
 from .model import SystemParams, load_params, strong_params, weak_params
 from .optimize import (STRONG_GRID, WEAK_GRID, SearchGrid, find_optimal_pairs,
                        pairs_to_json)
@@ -32,8 +31,7 @@ from .sweep import FIGURE_IDS, SweepSpec, figure_dataset, run_sweep, write_csv
 
 SOLVER_ERRORS = (ResonanceSingularityError, UndefinedCorrelationError,
                  SingularLiouvillianError, EmptyModeError,
-                 UnphysicalStateError, DimensionOverflowError,
-                 np.linalg.LinAlgError)
+                 UnphysicalStateError, np.linalg.LinAlgError)
 
 
 class UsageError(ValueError):
@@ -212,9 +210,9 @@ def cli_main(argv=None) -> int:
         print("solver error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # a UsageError, or a configuration that a SystemParams, SweepSpec,
-        # SearchGrid or FockBasis check rejects
+    except (ValueError, OSError) as exc:
+        # a UsageError, a configuration that a SystemParams, SweepSpec,
+        # SearchGrid or FockBasis check rejects, or an unopenable file
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
+MAX_DIM = 1024      # cutoffs 31, 31: a steady-state solve takes ~20 s, 434 MB
 
 
 class InvalidCutoffError(ValueError):
-    """Photon-number cutoff below 1."""
+    """Photon-number cutoff below 1, or a basis dimension above MAX_DIM."""
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,10 @@ class FockBasis:
     n_max_2: int
 
     def __post_init__(self):
-        if self.n_max_1 < 1 or self.n_max_2 < 1:
+        if min(self.n_max_1, self.n_max_2) < 1 or self.dim > MAX_DIM:
             raise InvalidCutoffError(
-                "cutoffs must be >= 1, got (%r, %r)" % (self.n_max_1, self.n_max_2)
-            )
+                "cutoffs must be >= 1 with basis dimension <= %d, got (%r, %r)"
+                % (MAX_DIM, self.n_max_1, self.n_max_2))
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,8 @@ kron(A, B.T) @ vec(rho):
 L = -i (H_nh (x) 1 - 1 (x) conj(H_nh)) + kappa sum_j a_j (x) conj(a_j).
 With ``steady_state`` (a trace-constrained linear solve, O(d^6)) it is the
 reference the tests and demos check ``steady_rho`` against, and the
-generator ``evolve`` integrates.
+generator ``evolve`` integrates.  As the only code that builds a superoperator
+it alone refuses d*d > 1e4 (cutoff 9 takes 1.6 GB); the rest takes any basis.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ MAX_ITERATIONS = 2000
 
 
 class DimensionOverflowError(ValueError):
-    """Superoperator dimension above the guard without an explicit override."""
+    """Dense superoperator dimension above 1e4."""
 
 
 class SingularLiouvillianError(np.linalg.LinAlgError):
@@ -73,17 +74,11 @@ class UnphysicalStateError(ValueError):
     """Density-matrix invariants (trace/Hermiticity/positivity) violated."""
 
 
-def check_dimension(basis: FockBasis, allow_large: bool = False) -> None:
-    """The dense-superoperator size guard of ``liouvillian``."""
-    if basis.dim ** 2 > 10 ** 4 and not allow_large:
-        raise DimensionOverflowError("superoperator dimension %d > 1e4; "
-                                     "pass allow_large=True" % basis.dim ** 2)
-
-
-def liouvillian(p: SystemParams, basis: FockBasis,
-                allow_large: bool = False) -> np.ndarray:
+def liouvillian(p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Dense Liouvillian of the dissipative dynamics, shape (d*d, d*d)."""
-    check_dimension(basis, allow_large)
+    if basis.dim ** 2 > 10 ** 4:
+        raise DimensionOverflowError("superoperator dimension %d > 1e4"
+                                     % basis.dim ** 2)
     ops = two_mode_ops(basis)
     h = _non_hermitian(p, *ops)
     eye = np.eye(basis.dim, dtype=complex)
@@ -266,11 +261,10 @@ def steady_g2(p: SystemParams, cutoff: int = 3, allow_large: bool = False
               ) -> tuple[float, float, float, float]:
     """Exact (g2_1, g2_2, n1, n2) from ``steady_rho`` at a cutoff.
 
-    A cutoff whose dense superoperator would exceed the ``check_dimension``
-    guard still needs allow_large=True.
+    A cutoff that ``FockBasis`` rejects raises InvalidCutoffError.
+    ``allow_large`` is accepted and ignored; it lifted a retired guard.
     """
     basis = FockBasis(cutoff, cutoff)
-    check_dimension(basis, allow_large)
     rho = steady_rho(p, basis)
     a1, a2 = two_mode_ops(basis)
     return g2_from_rho(rho, a1, a2)

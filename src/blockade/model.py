@@ -143,11 +143,15 @@ def params_from_dict(d: dict, omega_m_hz: float = OMEGA_M_HZ_DEFAULT
     """Build SystemParams from a flat mapping.
 
     Keys are the SystemParams field names with values in omega_m units;
-    a sibling key with an `_hz` suffix is accepted instead and divided by
-    omega_m_hz (both in the same angular-frequency convention).
+    a sibling key with an `_hz` suffix is accepted instead (not as well) and
+    divided by omega_m_hz (both in the same angular-frequency convention).
     """
+    if not 0 < omega_m_hz < math.inf:
+        raise ValueError("omega_m_hz must be in (0, inf), got %r" % omega_m_hz)
     kw = {}
     for key in _PARAM_KEYS:
+        if key in d and key + "_hz" in d:
+            raise ValueError("give %s or %s_hz, not both" % (key, key))
         if key in d:
             kw[key] = float(d[key])
         elif key + "_hz" in d:
@@ -163,5 +167,7 @@ def load_params(path) -> SystemParams:
     """Load SystemParams from a flat JSON file (see params_from_dict)."""
     with open(path) as fh:
         d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError("%s: expected a JSON object" % path)
     omega_m_hz = float(d.get("omega_m_hz", OMEGA_M_HZ_DEFAULT))
     return params_from_dict(d, omega_m_hz=omega_m_hz)

@@ -25,7 +25,7 @@ import numpy as np
 from .amplitude import (analytic_coefficients, steady_amplitude_stack,
                         steady_amplitudes)
 from .fock import FockBasis
-from .lindblad import check_dimension, steady_g2
+from .lindblad import steady_g2
 from .model import SystemParams
 
 NEWTON_FD_STEP = 1e-9
@@ -207,10 +207,10 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
     are dropped, while at half that drive with lambda quartered
     (lambda_opt scales as E^2) they sit at ~3e-3.  Roots on two-photon
     resonances, where the hierarchy breaks down entirely, are dropped too.
-    Pass ``oracle_threshold=None`` to keep every root.  A bad or oversized
-    oracle cutoff raises before the search.
+    Pass ``oracle_threshold=None`` to keep every root.  An oracle cutoff
+    that ``FockBasis`` rejects raises InvalidCutoffError before the search.
     """
-    check_dimension(FockBasis(g2_cutoff, g2_cutoff))
+    FockBasis(g2_cutoff, g2_cutoff)
     if p.drive_E <= 0:
         return []
     tol = 1e-10 * p.drive_E ** 2

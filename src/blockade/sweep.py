@@ -24,7 +24,7 @@ from .amplitude import (AmplitudeState, UndefinedCorrelationError, g2_cavity,
 from .amplitude import steady_amplitudes  # noqa: F401
 from .fock import FockBasis, two_mode_ops
 from .lindblad import EmptyModeError, SingularLiouvillianError, \
-    UnphysicalStateError, check_dimension, g2_mode, steady_rho
+    UnphysicalStateError, g2_mode, steady_rho
 # not called here; perfbench's tracer wraps them here by name
 from .lindblad import liouvillian, steady_state  # noqa: F401
 from .model import SystemParams, strong_params, weak_params
@@ -62,7 +62,7 @@ class SweepSpec:
         for value in self.range:        # the grid lies between its ends
             self.base.replace(**{_AXIS_FIELD[self.axis]: float(value)})
         if self.method != "amplitude":
-            check_dimension(FockBasis(self.cutoff, self.cutoff))
+            FockBasis(self.cutoff, self.cutoff)
 
 
 @dataclass
@@ -202,7 +202,6 @@ def figure_dataset(figure_id: str, outdir, points: int = 401,
                          % (figure_id, FIGURE_IDS))
     preset, fixed, axis, (lo, hi), flip, method, cavity, fld, values = \
         _FIGURES[figure_id]
-    os.makedirs(outdir, exist_ok=True)
     internal_rng = (-hi, -lo) if (flip and axis == "delta") else (lo, hi)
     written = []
     curve_meta = []
@@ -211,6 +210,7 @@ def figure_dataset(figure_id: str, outdir, points: int = 401,
         spec = SweepSpec(axis=axis, range=internal_rng, points=points,
                          base=base, method=method, cavity=cavity,
                          axis_flip=flip, cutoff=cutoff)
+        os.makedirs(outdir, exist_ok=True)      # after the first spec check
         name = "fig%s_curve%d_%s_%s.csv" % (figure_id, i, fld, repr(val))
         written.append(os.path.join(outdir, name))
         _write_rows(run_sweep(spec).rows, written[-1])

@@ -89,8 +89,10 @@ def test_flat_index_round_trip():
 
 
 def test_basis_rejects_bad_cutoffs():
-    with pytest.raises(InvalidCutoffError):
-        FockBasis(0, 2)
+    for cutoffs in ((0, 2), (31, 32)):          # dim 3, dim 1056 > 1024
+        with pytest.raises(InvalidCutoffError):
+            FockBasis(*cutoffs)
+    assert FockBasis(31, 31).dim == 1024        # the largest basis
     with pytest.raises(IndexError):
         FockBasis(2, 2).flatten(3, 0)
 

@@ -213,7 +213,7 @@ def _refined_dense_rho(p, basis):
     the residual in long double.  Unrefined, the float64 LU loses up to
     ~1e-9 relative in the g2 of a weakly occupied mode (point B: 5.6e-8)."""
     d = basis.dim
-    m = liouvillian(p, basis, allow_large=True)
+    m = liouvillian(p, basis)
     m[0] = 0.0
     m[0, ::d + 1] = 1.0
     b = np.zeros(d * d, dtype=complex)

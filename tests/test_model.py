@@ -171,6 +171,20 @@ def test_load_params_custom_omega(tmp_path):
     assert load_params(path).delta == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("content, match", [
+    ({"omega_m_hz": 0, "delta_hz": 100.0}, "omega_m_hz"),
+    ({"omega_m_hz": -1000.0, "delta_hz": 100.0}, "omega_m_hz"),
+    ({"omega_m_hz": math.inf, "kappa_hz": 1.0}, "omega_m_hz"),
+    ({"delta": 0.1, "delta_hz": 100.0}, "not both"),
+    ([{"delta": 0.1}], "JSON object"),
+])
+def test_load_params_rejects_bad_files(tmp_path, content, match):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError, match=match):
+        load_params(path)
+
+
 def test_to_dict_includes_mu():
     d = strong_params().to_dict()
     assert d["mu"] == pytest.approx(0.04)

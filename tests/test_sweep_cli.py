@@ -9,6 +9,7 @@ from blockade.amplitude import WeakDrivingWarning, g2_cavity, \
     steady_amplitudes
 import blockade.optimize
 from blockade.cli import build_parser, cli_main
+from blockade.lindblad import steady_g2
 from blockade.sweep import (FIGURE_IDS, ROW_FIELDS, SweepSpec, figure_dataset,
                             run_sweep, write_csv)
 from blockade.model import SystemParams, strong_params, weak_params
@@ -218,6 +219,7 @@ def no_search(monkeypatch):
     ["optimize", "--preset", "weak", "--starts", "4", "4", "--cutoff", "0"],
     ["optimize", "--preset", "weak", "--delta-range", "0", "inf"],
     ["optimize", "--preset", "weak", "--lambda-range", "nan", "1e-6"],
+    ["g2", "--params-file", "no-such-dir/params.json"],
 ])
 def test_cli_configuration_errors_exit_1(argv, tmp_path, capsys, no_search):
     out = tmp_path / "out.csv"
@@ -230,21 +232,62 @@ def test_cli_configuration_errors_exit_1(argv, tmp_path, capsys, no_search):
 
 def test_cli_oversized_cutoff_fails_before_writing(tmp_path, capsys,
                                                    no_search):
-    code = cli_main(["g2", "--preset", "weak", "--cutoff", "10"])
-    assert code == 2
+    # cutoff 32: basis dimension 33**2 = 1089 > 1024, a usage error
+    assert cli_main(["g2", "--preset", "weak", "--cutoff", "32"]) == 1
+    captured = capsys.readouterr()
+    assert "dimension <= 1024" in captured.err and not captured.out
     out = tmp_path / "big.csv"
     assert cli_main(["sweep", "--preset", "weak", "--range", "-0.01", "0.01",
-                     "--cutoff", "10", "--method", "both",
-                     "--out", str(out)]) == code
-    assert "DimensionOverflowError" in capsys.readouterr().err
+                     "--cutoff", "32", "--method", "both",
+                     "--out", str(out)]) == 1
+    assert "dimension <= 1024" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "big.json").exists()
     # also where the search would find no root and print []
     for extra in ([], ["--delta-range", "0.5", "0.6"]):
         out = tmp_path / "big_opt.json"
         assert cli_main(["optimize", "--preset", "weak", "--starts", "4", "4",
-                         "--cutoff", "10", "--out", str(out)] + extra) == code
-        assert "DimensionOverflowError" in capsys.readouterr().err
+                         "--cutoff", "32", "--out", str(out)] + extra) == 1
+        captured = capsys.readouterr()
+        assert "dimension <= 1024" in captured.err and not captured.out
         assert not out.exists()
+    assert cli_main(["figure", "2a", "--cutoff", "32",
+                     "--out", str(tmp_path / "fig")]) == 1
+    assert not (tmp_path / "fig").exists()
+
+
+def test_cli_runs_past_the_dense_superoperator_limit(tmp_path, capsys):
+    # cutoff 10: the dense superoperator would be 121**2 > 1e4 square
+    assert cli_main(["g2", "--preset", "strong", "--cutoff", "10",
+                     "--method", "me"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    g2_1, g2_2, n1, n2 = steady_g2(strong_params(), 10)
+    assert out == {"g2_1_me": g2_1, "g2_2_me": g2_2, "n1": n1, "n2": n2}
+    csv_path = tmp_path / "c10.csv"
+    assert cli_main(["sweep", "--preset", "weak", "--range", "-0.01", "0.01",
+                     "--points", "5", "--method", "both", "--cutoff", "10",
+                     "--out", str(csv_path)]) == 0
+    with open(csv_path) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 6
+    assert not any(cell.startswith("err:") for row in rows for cell in row)
+    assert cli_main(["optimize", "--preset", "weak", "--starts", "4", "4",
+                     "--cutoff", "10", "--out",
+                     str(tmp_path / "c10.json")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", "weak", "--range", "-0.01", "0.01",
+     "--points", "3", "--method", "amp"],
+    ["optimize", "--preset", "strong", "--delta-range", "0.05", "0.062",
+     "--starts", "4", "4"],
+])
+def test_cli_unwritable_out_exits_1(argv, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out"
+    assert cli_main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert str(out) in err
 
 
 def test_cli_solver_error_exit_code(tmp_path, capsys):
