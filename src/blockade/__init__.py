@@ -10,7 +10,7 @@ from .model import (SystemParams, cpb_detunings, effective_hamiltonian,
 from .amplitude import (AmplitudeState, analytic_coefficients,
                         g2_from_amplitudes, steady_amplitudes)
 from .lindblad import (g2_from_rho, liouvillian, steady_g2, steady_rho,
-                       steady_state, evolve)
+                       steady_rho_stack, steady_state, evolve)
 from .optimize import (OptimalPair, SearchGrid, find_optimal_pairs,
                        target_residual)
 from .sweep import SweepSpec, figure_dataset, run_sweep
@@ -21,8 +21,8 @@ __all__ = [
     "effective_hamiltonian", "non_hermitian_hamiltonian",
     "AmplitudeState", "steady_amplitudes", "analytic_coefficients",
     "g2_from_amplitudes",
-    "liouvillian", "steady_state", "steady_rho", "evolve", "g2_from_rho",
-    "steady_g2",
+    "liouvillian", "steady_state", "steady_rho", "steady_rho_stack", "evolve",
+    "g2_from_rho", "steady_g2",
     "OptimalPair", "SearchGrid", "find_optimal_pairs", "target_residual",
     "SweepSpec", "run_sweep", "figure_dataset",
 ]

@@ -26,9 +26,8 @@ import numpy as np
 
 # non_hermitian_hamiltonian is the reference for subspace_block; perfbench's
 # tracer also wraps it here by name.
-from .model import SystemParams, non_hermitian_hamiltonian  # noqa: F401
-
-STACKED_FIELDS = ("delta", "lambda_gain", "hop_J", "g_om")
+from .model import (SystemParams, non_hermitian_hamiltonian,  # noqa: F401
+                    stacked_rates)
 
 _DET_FLOOR = 1e-300
 _SQRT2 = np.sqrt(2.0)
@@ -74,15 +73,11 @@ def subspace_block(p: SystemParams, **arrays) -> np.ndarray:
     """Non-Hermitian Hamiltonian on the two-excitation subspace, shape
     (N, 6, 6), in the order of AmplitudeState's fields (|00> to |20>).
 
-    Rates in STACKED_FIELDS given as arrays broadcast together and override
-    p's.  The entries round as those of ``non_hermitian_hamiltonian`` on
-    FockBasis(2, 2) do, so the block equals that projection bit for bit.
+    Rates in ``model.STACKED_FIELDS`` given as arrays broadcast together and
+    override p's.  The entries round as those of ``non_hermitian_hamiltonian``
+    on FockBasis(2, 2) do, so the block equals that projection bit for bit.
     """
-    delta, lam, hop, g = np.broadcast_arrays(*(
-        np.ravel(np.asarray(arrays.pop(f, getattr(p, f)), dtype=float))
-        for f in STACKED_FIELDS))
-    if arrays:
-        raise ValueError("cannot stack %s" % sorted(arrays))
+    delta, lam, hop, g = stacked_rates(p, arrays)
     mu = np.float_power(g, 2)       # pow(), as SystemParams.mu rounds g**2
     one, two = -delta - mu, -delta * _TWO - mu * (_TWO * _TWO)  # per mode
     h = np.zeros(delta.shape + (6, 6), dtype=complex)

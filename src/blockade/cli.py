@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -68,6 +69,14 @@ def _base_params(args) -> SystemParams:
     if getattr(args, "lambda_gain", None) is not None:
         over["lambda_gain"] = args.lambda_gain
     return p.replace(**over) if over else p
+
+
+def _check_writable(path) -> None:
+    """Raise OSError unless path's directory exists and is writable, so that
+    a run fails before it computes; creates and truncates nothing."""
+    if os.path.isdir(path) or not os.access(
+            os.path.dirname(os.path.abspath(path)), os.W_OK):
+        raise OSError("cannot write %s" % path)
 
 
 def _add_common(sp):
@@ -156,6 +165,7 @@ def _cmd_sweep(args) -> int:
                      points=args.points, base=p, method=_METHOD[args.method],
                      cavity=args.cavity, axis_flip=args.flip_axis,
                      cutoff=args.cutoff)
+    _check_writable(args.out)
     write_csv(run_sweep(spec), args.out)
     print("wrote %s" % args.out)
     return 0
@@ -168,6 +178,8 @@ def _cmd_optimize(args) -> int:
                       tuple(args.lambda_range or default.lambda_range),
                       *(args.starts or (default.n_delta, default.n_lambda)))
     thresh = None if args.keep_uncertified else 1e-2
+    if args.out:
+        _check_writable(args.out)
     pairs = find_optimal_pairs(p, args.cavity, grid, g2_cutoff=args.cutoff,
                                oracle_threshold=thresh)
     text = pairs_to_json(pairs)

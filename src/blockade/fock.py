@@ -58,10 +58,16 @@ def annihilation(n_max: int) -> np.ndarray:
 
 def two_mode_ops(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation operators (a1, a2) on the flat two-mode space."""
-    a1 = np.kron(annihilation(basis.n_max_1), np.eye(basis.n_max_2 + 1, dtype=complex))
-    a2 = np.kron(np.eye(basis.n_max_1 + 1, dtype=complex), annihilation(basis.n_max_2))
-    return a1, a2
+    def kron(x, y):     # np.kron(x, y), without its general-shape overhead
+        return np.multiply.outer(x, y).transpose(0, 2, 1, 3).reshape(
+            basis.dim, basis.dim)
+
+    eye1, eye2 = (np.eye(n + 1, dtype=complex)
+                  for n in (basis.n_max_1, basis.n_max_2))
+    return (kron(annihilation(basis.n_max_1), eye2),
+            kron(eye1, annihilation(basis.n_max_2)))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    """Whether a, or each matrix of a stack (..., d, d), is Hermitian."""
+    return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= tol)

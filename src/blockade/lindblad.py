@@ -7,8 +7,8 @@ photon is the loss part of rate-kappa photon decay in each cavity) and the
 jump part J(rho) = sum_j a_j rho a_j^dag.  There is no mechanical dissipator
 and no thermal occupation.
 
-``steady_rho`` solves for the steady state without a superoperator.  With
-H_nh = V diag(lam) V^-1, S^-1 is two basis changes and an elementwise
+``steady_rho_stack`` solves for the steady state without a superoperator.
+With H_nh = V diag(lam) V^-1, S^-1 is two basis changes and an elementwise
 division by D_ij = -i (lam_i - conj(lam_j)), so each step costs O(d^3) time
 and O(d^2) memory.  The steady state is the fixed point of the jump map
 rho -> -kappa S^-1 J(rho), the state right after one jump propagated to the
@@ -16,7 +16,14 @@ next (quantum trajectories: Dalibard, Castin & Molmer, PRL 68, 580 (1992);
 Plenio & Knight, RMP 70, 101 (1998)).  It is iterated as a defect
 correction, rho <- rho - S^-1 R with the residual R = S(rho) + kappa J(rho)
 formed in the Fock basis, which is the same map but keeps the relative
-precision of small Fock populations.
+precision of small Fock populations.  Every step is the same few matrix
+products at every point, so a whole stack of N points (one H_nh each, the
+swept rates given as arrays) runs as one stacked eig and inv and one
+stacked step per iteration; each point keeps its own stopping rule and
+leaves the stack when it holds.  Each point's arithmetic is that of its
+one-point solve, whatever N is.  Memory is O(N d^2): a sweep feeds the stack
+in chunks of ``sweep.STACK_ENTRIES // d**2`` points.  ``steady_rho`` is the
+N = 1 case.
 
 ``liouvillian`` builds the dense (d*d, d*d) superoperator, with density
 matrices vectorized row-major (numpy ravel order), so vec(A @ rho @ B) =
@@ -52,6 +59,7 @@ STALL_TOL = 1e-9
 STALL_STEPS = 8
 MOMENT_FLOOR = 1e-20
 MAX_ITERATIONS = 2000
+_SMALLEST = np.finfo(float).smallest_subnormal
 
 
 class DimensionOverflowError(ValueError):
@@ -80,7 +88,7 @@ def liouvillian(p: SystemParams, basis: FockBasis) -> np.ndarray:
         raise DimensionOverflowError("superoperator dimension %d > 1e4"
                                      % basis.dim ** 2)
     ops = two_mode_ops(basis)
-    h = _non_hermitian(p, *ops)
+    h = _non_hermitian(p, *ops)[0]
     eye = np.eye(basis.dim, dtype=complex)
     liouv = np.kron(h, eye)             # in place: one full-size temporary
     liouv -= np.kron(eye, h.conj())
@@ -90,78 +98,156 @@ def liouvillian(p: SystemParams, basis: FockBasis) -> np.ndarray:
     return liouv
 
 
-def steady_rho(p: SystemParams, basis: FockBasis) -> np.ndarray:
-    """Steady density matrix by the defect-corrected jump map.
-
-    See the module docstring for the method.  The iteration starts from
-    the one-photon state of cavity 1, whose image is the vacuum propagated
-    without jumps; the vacuum itself would be sent to zero (J(|0><0|) = 0).
-    From the second step on, the next iterate is the convex combination of
-    the last two images whose weight least-squares minimizes the combined
-    step (Anderson mixing of depth 1, weight clipped to [0, 1]).  This
-    removes the period-2 alternation between photon-number parities that
-    slows the plain map when pair creation dominates the coherent drive,
-    and keeps every iterate a density matrix.  The result is the last
-    image, Hermitized, trace-normalized and checked.
-    Where H_nh annihilates the vacuum (drive_E = lambda_gain = 0, or
-    drive_E = 0 at cutoff 1) the vacuum is returned: it is the steady state
-    and D vanishes on it.  Raises SteadyStateConvergenceError after
-    MAX_ITERATIONS steps, SingularLiouvillianError if H_nh cannot be
-    diagonalized, and UnphysicalStateError as ``check_density_matrix``.
-    """
-    ops = two_mode_ops(basis)
-    h = _non_hermitian(p, *ops)
-    rho = np.zeros(h.shape, dtype=complex)
-    if not h[:, 0].any():               # H_nh |0> = 0: the vacuum is dark
-        rho[0, 0] = 1.0
-        return rho
+def _diagonalize(h: np.ndarray):
+    """(lam, v, v^-1, ok) of each H_nh of the stack, from one stacked eig and
+    inv.  If either raises, the stack is split point by point; a point whose
+    eig or inv fails has ok False and void factors."""
     try:
         lam, v = np.linalg.eig(h)
-        w = np.linalg.inv(v)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLiouvillianError(str(exc)) from exc
-    v_h, w_h = v.conj().T, w.conj().T
-    den = -1j * (lam[:, None] - lam.conj())
-    jump_l = p.kappa * np.stack(ops)
-    jump_r = np.stack(ops).conj().transpose(0, 2, 1)
-    occ = np.stack([(a.conj().T @ a).diagonal().real for a in ops])
+        return lam, v, np.linalg.inv(v), np.ones(len(h), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(h) == 1:
+            return h[:, 0], h, h, np.zeros(1, dtype=bool)
+        return tuple(np.concatenate(part) for part in
+                     zip(*(_diagonalize(x) for x in np.split(h, len(h)))))
+
+
+def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Steady density matrices by the defect-corrected jump map, one per
+    point of ``stacked_rates(p, arrays)``.
+
+    See the module docstring for the method.  All points iterate together:
+    each step is one stacked residual, basis change, Hermitization, trace
+    normalization and mixing step over the points not yet converged, and a
+    point leaves the stack when its own stopping rule holds.  The iteration
+    starts from the one-photon state of cavity 1, whose image is the vacuum
+    propagated without jumps; the vacuum itself would be sent to zero
+    (J(|0><0|) = 0).  From the second step on, the next iterate is the
+    convex combination of the last two images whose weight least-squares
+    minimizes the combined step (Anderson mixing of depth 1, weight clipped
+    to [0, 1]).  This removes the period-2 alternation between photon-number
+    parities that slows the plain map when pair creation dominates the
+    coherent drive, and keeps every iterate a density matrix.  A point's
+    result is its last image, Hermitized, trace-normalized and checked by
+    ``check_density_matrix``.  Where H_nh annihilates the vacuum
+    (drive_E = lambda_gain = 0, or drive_E = 0 at cutoff 1) the vacuum is
+    returned: it is the steady state and D vanishes on it.
+
+    Returns the (N, d, d) states and per point "" or the name of the error
+    that voids its state (NaN): SingularLiouvillianError where H_nh cannot
+    be diagonalized, SteadyStateConvergenceError after MAX_ITERATIONS steps,
+    UnphysicalStateError where the check fails.
+    """
+    ops = two_mode_ops(basis)
+    h = _non_hermitian(p, *ops, **arrays)
+    dark = ~h[:, :, 0].any(axis=1)      # H_nh |0> = 0: the vacuum is dark
+    lam, v, w, ok = _diagonalize(h)
+    live = np.flatnonzero(ok & ~dark)
+    errors = np.full(len(h), "", dtype=object)
+    errors[~ok & ~dark] = "SingularLiouvillianError"
+    errors[live] = "SteadyStateConvergenceError"    # until the point converges
+    rho_out = np.full(h.shape, np.nan, dtype=complex)
+    rho_out[dark] = 0.0
+    rho_out[dark, 0, 0] = 1.0
+    if not len(live):
+        return rho_out, errors
+    h, lam, v, w = (x[live] for x in (h, lam, v, w))
+    v_h, w_h = v.conj().swapaxes(1, 2), w.conj().swapaxes(1, 2)
+    den = -1j * (lam[:, :, None] - lam.conj()[:, None, :])
+    # a_1 and a_2 shift the flat index by n_max_2 + 1 and by 1: the nonzero
+    # entries of a_j are the diagonal s_j at that offset.  So kappa J(rho) is
+    # a sum of shifted blocks (kappa s_j) rho' s_j, and <n_j> weighs the
+    # diagonal of rho by |s_j|^2; in complex and in this order, both round
+    # as the dense products do.
+    shifts = [(m, np.diagonal(a, m))
+              for a, m in zip(ops, (basis.n_max_2 + 1, 1))]
+    left = [p.kappa * s[:, None] for _, s in shifts]
+
+    def jump(r):
+        out = np.zeros_like(r)
+        for (m, s), k_s in zip(shifts, left):
+            out[:, :-m, :-m] += k_s * r[:, m:, m:] * s
+        return out
+
+    occ = np.zeros((2, basis.dim))
+    for j, (m, s) in enumerate(shifts):
+        occ[j, m:] = (s.conj() * s).real
     weights = np.concatenate([occ, occ * (occ - 1)])
 
-    def moments(r):
-        return weights @ r.diagonal().real
+    def moments(r):     # (N, 4, 1): one product per point, whatever N is
+        return weights @ r.diagonal(axis1=1, axis2=2).real[:, :, None]
 
     one = basis.flatten(1, 0)
-    rho[one, one] = 1.0
+    rho = np.zeros(h.shape, dtype=complex)
+    rho[:, one, one] = 1.0
     m_rho = moments(rho)
-    changes, previous = [], None
+    changes, previous = [], None        # changes: the last 2*STALL_STEPS
     for _ in range(MAX_ITERATIONS):
         hr = h @ rho                    # rho H^dag = (H rho)^dag
-        resid = -1j * (hr - hr.conj().T) + (jump_l @ rho @ jump_r).sum(axis=0)
+        resid = -1j * (hr - hr.conj().swapaxes(1, 2)) + jump(rho)
         image = rho - v @ ((w @ resid @ w_h) / den) @ v_h
-        image = 0.5 * (image + image.conj().T)
-        image /= image.trace().real
+        image = 0.5 * (image + image.conj().swapaxes(1, 2))
+        image /= image.trace(axis1=1, axis2=2).real[:, None, None]
         m_image = moments(image)
-        changes.append(np.max(np.abs(m_image - m_rho)
-                              / np.maximum(np.abs(m_image), MOMENT_FLOOR)))
-        recent = max(changes[-STALL_STEPS:])
-        if changes[-1] <= MOMENT_TOL or (
-                len(changes) >= 2 * STALL_STEPS and recent <= STALL_TOL
-                and recent >= max(changes[-2 * STALL_STEPS:-STALL_STEPS])):
-            check_density_matrix(image)
-            return image
+        change = np.max(np.abs(m_image - m_rho) / np.maximum(
+            np.abs(m_image), MOMENT_FLOOR), axis=(1, 2))
+        changes = changes[1 - 2 * STALL_STEPS:] + [change]
+        done = change <= MOMENT_TOL
+        if len(changes) == 2 * STALL_STEPS and change.min() <= STALL_TOL:
+            history = np.array(changes)
+            recent = history[STALL_STEPS:].max(axis=0)
+            done |= (recent <= STALL_TOL) & (
+                recent >= history[:STALL_STEPS].max(axis=0))
+        finished = np.flatnonzero(done)
+        for k in finished:
+            try:
+                check_density_matrix(image[k])
+            except UnphysicalStateError:
+                errors[live[k]] = "UnphysicalStateError"
+                continue
+            rho_out[live[k]], errors[live[k]] = image[k], ""
+        if len(finished) == len(live):
+            break
         step = image - rho
         rho = image
         if previous is not None:
             d_step = step - previous[1]
-            norm = np.vdot(d_step, d_step).real
-            if norm > 0:
-                gamma = np.vdot(d_step, step).real / norm
-                rho = image - min(max(gamma, 0.0), 1.0) * (image - previous[0])
+            row = d_step.reshape(len(live), 1, -1).conj()  # np.vdot rounds so
+            norm = (row @ d_step.reshape(len(live), -1, 1)).real
+            dot = (row @ step.reshape(len(live), -1, 1)).real
+            # the least-squares weight clipped to [0, 1]; 0 where norm = 0
+            weight = np.minimum(np.maximum(dot, 0.0), norm) \
+                / np.maximum(norm, _SMALLEST)
+            rho = image - weight * (image - previous[0])
         previous = (image, step)
         m_rho = moments(rho)
-    raise SteadyStateConvergenceError(
-        "jump-map iteration did not converge in %d steps (relative moment "
-        "change %.1e)" % (MAX_ITERATIONS, changes[-1]))
+        if len(finished):
+            keep = ~done
+            live, h, v, w, v_h, w_h, den, rho, m_rho = (
+                x[keep] for x in (live, h, v, w, v_h, w_h, den, rho, m_rho))
+            changes = [c[keep] for c in changes]
+            previous = (image[keep], step[keep])
+    return rho_out, errors
+
+
+_ERRORS = {cls.__name__: (cls, msg) for cls, msg in (
+    (SingularLiouvillianError, "H_nh could not be diagonalized"),
+    (SteadyStateConvergenceError,
+     "jump-map iteration did not converge in {steps} steps"),
+    (UnphysicalStateError, "steady state failed the density-matrix check"))}
+
+
+def steady_rho(p: SystemParams, basis: FockBasis) -> np.ndarray:
+    """Steady density matrix at one point; see ``steady_rho_stack``.
+
+    Raises the error that ``steady_rho_stack`` names for the point.
+    """
+    rho, errors = steady_rho_stack(p, basis)
+    if errors[0]:
+        cls, msg = _ERRORS[errors[0]]
+        raise cls(msg.format(steps=MAX_ITERATIONS))
+    return rho[0]
 
 
 def check_density_matrix(rho: np.ndarray, trace_tol: float = TRACE_TOL,

@@ -34,6 +34,8 @@ OMEGA_M_HZ_DEFAULT = 2.0 * math.pi * 75.0e6
 
 _PARAM_KEYS = ("delta", "lambda_gain", "theta", "phi", "hop_J", "kappa",
                "drive_E", "g_om")
+# the rates that the stacked solvers take as arrays, one value per point
+STACKED_FIELDS = ("delta", "lambda_gain", "hop_J", "g_om")
 
 
 @dataclass(frozen=True)
@@ -105,37 +107,60 @@ def cpb_detunings(p: SystemParams) -> tuple[float, float]:
 
 def effective_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Hermitian effective Hamiltonian on the truncated two-mode space."""
-    return _hamiltonian(p, *two_mode_ops(basis))
+    return _hamiltonian(p, *two_mode_ops(basis))[0]
 
 
 def non_hermitian_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Effective Hamiltonian with -i*kappa/2 * (n1 + n2) decay terms."""
-    return _non_hermitian(p, *two_mode_ops(basis))
+    return _non_hermitian(p, *two_mode_ops(basis))[0]
 
 
-def _hamiltonian(p: SystemParams, a1: np.ndarray, a2: np.ndarray
+def stacked_rates(p: SystemParams, arrays: dict) -> list[np.ndarray]:
+    """The rates in STACKED_FIELDS as 1-D arrays broadcast together; those
+    that ``arrays`` gives override p's.  Nothing else can be stacked."""
+    unknown = set(arrays) - set(STACKED_FIELDS)
+    if unknown:
+        raise ValueError("cannot stack %s" % sorted(unknown))
+    return np.broadcast_arrays(*(
+        np.ravel(np.asarray(arrays.get(f, getattr(p, f)), dtype=float))
+        for f in STACKED_FIELDS))
+
+
+def _hamiltonian(p: SystemParams, a1: np.ndarray, a2: np.ndarray, **arrays
                  ) -> np.ndarray:
-    """``effective_hamiltonian`` from ladder operators the caller built."""
-    h = np.zeros(a1.shape, dtype=complex)
+    """``effective_hamiltonian`` from ladder operators the caller built, one
+    per point of ``stacked_rates(p, arrays)``: shape (N, d, d).
+
+    A rate given as an array enters with shape (N, 1, 1), the others as p's
+    floats; each entry rounds as it does with all rates set in p.
+    """
+    n_points = len(stacked_rates(p, arrays)[0]) if arrays else 1
+    delta, lam, hop, g = (
+        np.asarray(arrays[f], dtype=float).reshape(-1, 1, 1) if f in arrays
+        else getattr(p, f) for f in STACKED_FIELDS)
+    mu = np.float_power(g, 2)       # pow(), as SystemParams.mu rounds g**2
+    h = np.zeros((n_points,) + a1.shape, dtype=complex)
     opa_phase = np.exp(1j * p.theta)
+    pair_up = 1j * lam * opa_phase
+    pair_down = -1j * lam * np.conj(opa_phase)
     for a in (a1, a2):
         n = a.conj().T @ a
-        h += -p.delta * n - p.mu * (n @ n)
-        h += 1j * p.lambda_gain * opa_phase * (a.conj().T @ a.conj().T)
-        h += -1j * p.lambda_gain * np.conj(opa_phase) * (a @ a)
+        h += -delta * n - mu * (n @ n)
+        h += pair_up * (a.conj().T @ a.conj().T)
+        h += pair_down * (a @ a)
     h += p.drive_E * np.exp(1j * p.phi) * a1.conj().T
     h += p.drive_E * np.exp(-1j * p.phi) * a1
-    h += p.hop_J * (a1.conj().T @ a2 + a2.conj().T @ a1)
+    h += hop * (a1.conj().T @ a2 + a2.conj().T @ a1)
     if not is_hermitian(h):
         raise ValueError("effective Hamiltonian failed the Hermiticity check")
     return h
 
 
-def _non_hermitian(p: SystemParams, a1: np.ndarray, a2: np.ndarray
+def _non_hermitian(p: SystemParams, a1: np.ndarray, a2: np.ndarray, **arrays
                    ) -> np.ndarray:
-    """``non_hermitian_hamiltonian`` from ladder operators the caller built."""
+    """``non_hermitian_hamiltonian`` as ``_hamiltonian`` stacks it."""
     n_tot = a1.conj().T @ a1 + a2.conj().T @ a2
-    return _hamiltonian(p, a1, a2) - 0.5j * p.kappa * n_tot
+    return _hamiltonian(p, a1, a2, **arrays) - 0.5j * p.kappa * n_tot
 
 
 def params_from_dict(d: dict, omega_m_hz: float = OMEGA_M_HZ_DEFAULT
@@ -153,14 +178,23 @@ def params_from_dict(d: dict, omega_m_hz: float = OMEGA_M_HZ_DEFAULT
         if key in d and key + "_hz" in d:
             raise ValueError("give %s or %s_hz, not both" % (key, key))
         if key in d:
-            kw[key] = float(d[key])
+            kw[key] = _number(d, key)
         elif key + "_hz" in d:
-            kw[key] = float(d[key + "_hz"]) / omega_m_hz
+            kw[key] = _number(d, key + "_hz") / omega_m_hz
     unknown = set(d) - {k for k in _PARAM_KEYS} - {k + "_hz" for k in _PARAM_KEYS} \
         - {"omega_m_hz"}
     if unknown:
         raise ValueError("unknown parameter keys: %s" % sorted(unknown))
     return SystemParams(**kw)
+
+
+def _number(d: dict, key: str) -> float:
+    """d[key] as a float; a JSON null, list or object raises ValueError."""
+    try:
+        return float(d[key])
+    except (TypeError, ValueError):
+        raise ValueError("%s must be a number, got %r"
+                         % (key, d[key])) from None
 
 
 def load_params(path) -> SystemParams:
@@ -169,5 +203,6 @@ def load_params(path) -> SystemParams:
         d = json.load(fh)
     if not isinstance(d, dict):
         raise ValueError("%s: expected a JSON object" % path)
-    omega_m_hz = float(d.get("omega_m_hz", OMEGA_M_HZ_DEFAULT))
+    omega_m_hz = _number(d, "omega_m_hz") if "omega_m_hz" in d \
+        else OMEGA_M_HZ_DEFAULT
     return params_from_dict(d, omega_m_hz=omega_m_hz)

@@ -50,6 +50,18 @@ def test_cutoff_scan_seed0_passes_its_checks(monkeypatch, tmp_path):
         ["weak.cutoff_5_vs_6", "strong.cutoff_5_vs_6"]
 
 
+def test_figures_seed0_passes_its_checks(monkeypatch, tmp_path):
+    # the 15 sweep commands as one benchmark pass runs them, with figure
+    # 4a's amplitude/master-equation agreement (acceptance criterion 1) and
+    # figure 5b's conventional-blockade dips (criterion 3) gated
+    failed, records = _seed0_pass(monkeypatch, tmp_path, "figures")
+    assert not failed, records
+    names = [name for name, ok, _ in records]
+    assert len(names) == 15 + 3 + 1
+    assert {"fig4a.curve0.methods_agree", "fig4a.curve1.methods_agree",
+            "fig5b.curve2.cpb_dips"} <= set(names)
+
+
 def test_optimize_seed0_passes_its_checks(monkeypatch, tmp_path):
     # both searches as one benchmark pass runs them, with the oracle calls
     # counted as the worker counts them: the weak.seed0_roots gate wants

@@ -9,12 +9,13 @@ from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
                                SteadyStateConvergenceError,
                                UnphysicalStateError, check_density_matrix,
                                evolve, g2_from_rho, g2_mode, liouvillian,
-                               steady_g2, steady_rho, steady_state,
-                               steady_state_with_diagnostics)
+                               steady_g2, steady_rho, steady_rho_stack,
+                               steady_state, steady_state_with_diagnostics)
 from blockade.model import (SystemParams, effective_hamiltonian,
                             non_hermitian_hamiltonian, strong_params,
                             weak_params)
-from blockade.sweep import SweepSpec, run_sweep
+import blockade.sweep
+from blockade.sweep import ROW_FIELDS, SweepSpec, run_sweep
 
 
 def _random_density(rng, d):
@@ -352,3 +353,136 @@ def test_liouvillian_matches_written_out_master_equation(cutoff):
                                - 0.5 * (n_op @ rho + rho @ n_op))
         got = (liouv @ rho.ravel()).reshape(basis.dim, basis.dim)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+def test_steady_rho_stack_rows_equal_point_solves(cutoff):
+    rng = np.random.default_rng(40 + cutoff)
+    kappa = 0.002
+    base = SystemParams(theta=rng.uniform(0.1, np.pi),
+                        phi=-rng.uniform(0.1, np.pi), kappa=kappa,
+                        drive_E=kappa * 10 ** rng.uniform(-2.7, 0))
+    arrays = {"delta": rng.uniform(-0.1, 0.1, 6),
+              "lambda_gain": rng.uniform(-2e-5, 2e-5, 6),
+              "hop_J": rng.uniform(0.0, 0.02, 6),
+              "g_om": rng.uniform(0.0, 0.25, 1 if cutoff % 2 else 6)}
+    basis = FockBasis(cutoff, cutoff)
+    rhos, errors = steady_rho_stack(base, basis, **arrays)
+    assert rhos.shape == (6, basis.dim, basis.dim)
+    assert list(errors) == [""] * 6
+    for k, rho in enumerate(rhos):
+        p = base.replace(**{f: float(a[k % len(a)])
+                            for f, a in arrays.items()})
+        ref = steady_rho(p, basis)
+        for a in two_mode_ops(basis):
+            g2_ref, n_ref = g2_mode(ref, a)
+            if n_ref >= 1e-5:
+                for got, want in zip(g2_mode(rho, a), (g2_ref, n_ref)):
+                    assert got == pytest.approx(want, rel=1e-12), (k, p)
+
+
+def test_steady_rho_stack_flags_failures_per_point(monkeypatch):
+    # eig fails on the middle point only, and the density-matrix check
+    # fails on the last: each flag voids its own row and no other
+    base = strong_params(lambda_gain=1.1e-6, theta=0.4, phi=-0.3)
+    deltas = np.array([-0.03, -0.024, -0.02, 0.01])
+    basis = FockBasis(3, 3)
+    want = [steady_rho(base.replace(delta=float(x)), basis) for x in deltas]
+    bad = non_hermitian_hamiltonian(base.replace(delta=float(deltas[1])),
+                                    basis)
+    eig, check = np.linalg.eig, blockade.lindblad.check_density_matrix
+
+    def failing_eig(a):
+        if (a[..., 1, 1] == bad[1, 1]).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    def failing_check(rho):
+        if np.allclose(rho, want[3], rtol=0, atol=1e-12):
+            raise UnphysicalStateError("negative eigenvalue")
+        check(rho)
+
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    monkeypatch.setattr(blockade.lindblad, "check_density_matrix",
+                        failing_check)
+    rhos, errors = steady_rho_stack(base, basis, delta=deltas)
+    assert list(errors) == ["", "SingularLiouvillianError", "",
+                            "UnphysicalStateError"]
+    assert np.isnan(rhos[1]).all() and np.isnan(rhos[3]).all()
+    for k in (0, 2):
+        assert np.allclose(rhos[k], want[k], rtol=0, atol=1e-14)
+    with pytest.raises(SingularLiouvillianError, match="diagonalized"):
+        steady_rho(base.replace(delta=float(deltas[1])), basis)
+    with pytest.raises(UnphysicalStateError):
+        steady_rho(base.replace(delta=float(deltas[3])), basis)
+
+
+def test_sweep_columns_do_not_depend_on_the_chunk(monkeypatch):
+    spec = SweepSpec(axis="delta", range=(-0.1, 0.02), points=23,
+                     base=strong_params(lambda_gain=1.1e-6, theta=0.7),
+                     method="lindblad", cavity="both", cutoff=3)
+    monkeypatch.setattr(blockade.sweep, "STACK_ENTRIES", 10 ** 9)
+    whole = run_sweep(spec).rows
+    for entries in (1, 5 * 16 ** 2):     # chunks of 1 and of 5 points
+        monkeypatch.setattr(blockade.sweep, "STACK_ENTRIES", entries)
+        assert run_sweep(spec).rows == whole
+
+
+# Drive off: the vacuum is dark where the gain is off too, and every other
+# point is driven by pair creation alone, the parity-alternating case of the
+# pair-dominated hard point.  Row 1 stops at its rounding floor (a moment
+# change of ~2.5e-10, after ~60 steps), row 2 on MOMENT_TOL (~40 steps) and
+# row 3 takes ~200 steps.
+PAIR_BASE = SystemParams(theta=0.9, phi=-0.4, kappa=0.002, drive_E=0.0)
+PAIR_ROWS = {"delta": [0.057686, -0.0781407479121328, -0.008133,
+                       0.09197456771586407],
+             "lambda_gain": [0.0, 1.6228030856884575e-07, 1.3073e-05,
+                             2.1124711782845194e-08],
+             "hop_J": [0.015493, 0.0032115801430554684, 0.004638,
+                       0.007250097371996772],
+             "g_om": [0.095245, 0.17371305458730937, 0.031905,
+                      0.2254541532730812]}
+
+
+def _capped(p, basis):
+    try:
+        return steady_rho(p, basis), False
+    except SteadyStateConvergenceError:
+        return None, True
+
+
+def test_steady_rho_stack_flags_exactly_the_capped_rows(monkeypatch):
+    basis = FockBasis(3, 3)
+    points = [PAIR_BASE.replace(**{f: v[k] for f, v in PAIR_ROWS.items()})
+              for k in range(4)]
+    monkeypatch.setattr(blockade.lindblad, "MAX_ITERATIONS", 100)
+    for stall_tol, want in ((blockade.lindblad.STALL_TOL, [3]),
+                            (0.0, [1, 3])):     # no rounding-floor stop
+        monkeypatch.setattr(blockade.lindblad, "STALL_TOL", stall_tol)
+        rhos, errors = steady_rho_stack(PAIR_BASE, basis, **{
+            f: np.array(v) for f, v in PAIR_ROWS.items()})
+        assert [k for k, e in enumerate(errors) if e] == want
+        assert set(errors[want]) == {"SteadyStateConvergenceError"}
+        assert rhos[0][0, 0] == 1.0 and np.count_nonzero(rhos[0]) == 1
+        for k, p in enumerate(points):
+            rho, capped = _capped(p, basis)
+            assert capped == (k in want)
+            if not capped:
+                assert np.array_equal(rhos[k], rho)
+
+
+def test_sweep_writes_the_cap_error_in_the_capped_rows_only(monkeypatch):
+    monkeypatch.setattr(blockade.lindblad, "MAX_ITERATIONS", 65)
+    base = PAIR_BASE.replace(delta=PAIR_ROWS["delta"][1],
+                             hop_J=PAIR_ROWS["hop_J"][1],
+                             g_om=PAIR_ROWS["g_om"][1])
+    spec = SweepSpec(axis="lambda", range=(0.0, 4e-7), points=9, base=base,
+                     method="lindblad", cavity="both")
+    capped = [_capped(base.replace(lambda_gain=v), FockBasis(3, 3))[1]
+              for v in np.linspace(0.0, 4e-7, 9).tolist()]
+    assert True in capped and False in capped
+    for row, cap in zip(run_sweep(spec).rows, capped):
+        cells = [row[k] for k in ROW_FIELDS[3:]]
+        flagged = ["err:SteadyStateConvergenceError"] * 4
+        assert (cells == flagged) if cap else \
+            "err:SteadyStateConvergenceError" not in cells

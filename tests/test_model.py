@@ -177,6 +177,11 @@ def test_load_params_custom_omega(tmp_path):
     ({"omega_m_hz": math.inf, "kappa_hz": 1.0}, "omega_m_hz"),
     ({"delta": 0.1, "delta_hz": 100.0}, "not both"),
     ([{"delta": 0.1}], "JSON object"),
+    ({"delta": None}, "delta must be a number"),
+    ({"kappa": [0.002]}, "kappa must be a number"),
+    ({"hop_J_hz": {"value": 1.0}}, "hop_J_hz must be a number"),
+    ({"drive_E": "strong"}, "drive_E must be a number"),
+    ({"omega_m_hz": None, "delta_hz": 100.0}, "omega_m_hz must be a number"),
 ])
 def test_load_params_rejects_bad_files(tmp_path, content, match):
     path = tmp_path / "p.json"

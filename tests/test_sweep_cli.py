@@ -7,6 +7,7 @@ import pytest
 
 from blockade.amplitude import WeakDrivingWarning, g2_cavity, \
     steady_amplitudes
+import blockade.cli
 import blockade.optimize
 from blockade.cli import build_parser, cli_main
 from blockade.lindblad import steady_g2
@@ -202,10 +203,11 @@ def test_cli_usage_errors(capsys):
 
 @pytest.fixture
 def no_search(monkeypatch):
-    """Fail the test if the optimal-pair search starts."""
+    """Fail the test if a sweep or the optimal-pair search starts."""
     def fail(*args, **kwargs):
-        raise AssertionError("the root search ran")
+        raise AssertionError("the computation ran")
     monkeypatch.setattr(blockade.optimize, "_newton_roots", fail)
+    monkeypatch.setattr(blockade.cli, "run_sweep", fail)
 
 
 @pytest.mark.parametrize("argv", [
@@ -220,8 +222,17 @@ def no_search(monkeypatch):
     ["optimize", "--preset", "weak", "--delta-range", "0", "inf"],
     ["optimize", "--preset", "weak", "--lambda-range", "nan", "1e-6"],
     ["g2", "--params-file", "no-such-dir/params.json"],
+    ["params", "--params-file", {"delta": None}],
+    ["params", "--params-file", {"kappa": [0.002]}],
+    ["g2", "--params-file", {"hop_J": {"value": 0.0019}}],
 ])
 def test_cli_configuration_errors_exit_1(argv, tmp_path, capsys, no_search):
+    # a dict stands for a parameter file with that content
+    params_file = tmp_path / "params.json"
+    for value in argv:
+        if isinstance(value, dict):
+            params_file.write_text(json.dumps(value))
+    argv = [str(params_file) if isinstance(v, dict) else v for v in argv]
     out = tmp_path / "out.csv"
     if argv[0] in ("sweep", "optimize"):
         argv = argv + ["--out", str(out)]
@@ -282,12 +293,14 @@ def test_cli_runs_past_the_dense_superoperator_limit(tmp_path, capsys):
     ["optimize", "--preset", "strong", "--delta-range", "0.05", "0.062",
      "--starts", "4", "4"],
 ])
-def test_cli_unwritable_out_exits_1(argv, tmp_path, capsys):
-    out = tmp_path / "no-such-dir" / "out"
-    assert cli_main(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert str(out) in err
+def test_cli_unwritable_out_exits_1(argv, tmp_path, capsys, no_search):
+    # before the sweep or the search starts
+    for out in (tmp_path / "no-such-dir" / "out", tmp_path):
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert str(out) in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_solver_error_exit_code(tmp_path, capsys):
