@@ -68,6 +68,7 @@ def two_mode_ops(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
             kron(eye1, annihilation(basis.n_max_2)))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     """Whether a, or each matrix of a stack (..., d, d), is Hermitian."""
-    return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= tol)
+    return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()))
+                <= HERMITIAN_TOL)

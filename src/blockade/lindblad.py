@@ -250,18 +250,16 @@ def steady_rho(p: SystemParams, basis: FockBasis) -> np.ndarray:
     return rho[0]
 
 
-def check_density_matrix(rho: np.ndarray, trace_tol: float = TRACE_TOL,
-                         herm_tol: float = HERM_TOL,
-                         eig_floor: float = EIG_FLOOR) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Raise UnphysicalStateError unless rho is a valid state."""
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise UnphysicalStateError("trace deviates from 1 by %g" % abs(tr - 1.0))
     asym = np.max(np.abs(rho - rho.conj().T))
-    if asym > herm_tol:
+    if asym > HERM_TOL:
         raise UnphysicalStateError("Hermiticity violation %g" % asym)
     w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < eig_floor:
+    if w.min() < EIG_FLOOR:
         raise UnphysicalStateError("negative eigenvalue %g" % w.min())
 
 

@@ -1,12 +1,11 @@
 """Multi-start Newton search for (delta, lambda) pairs with vanishing
 two-photon amplitude (perfect antibunching of the chosen cavity).
 
-Detunings here are on the *reporting* axis used by the published tables
-and figure captions, which is sign-flipped relative to the internal
-Hamiltonian convention: a pair reported at delta corresponds to the
-Hamiltonian evaluated at -delta.  The residual is the complex conjugate of
-the solve-path two-photon amplitude at that flipped detuning, which makes
-it coincide with the closed-form coefficient at delta.
+Detunings here are on the *reporting* axis of the published tables and
+figure captions, sign-flipped relative to the internal Hamiltonian
+convention: a pair reported at delta is the Hamiltonian at -delta.  The
+residual is the conjugated solve-path two-photon amplitude there, which
+equals the printed closed-form coefficient at delta.
 
 Newton runs from every start of a SearchGrid in lockstep: per iteration,
 one stacked residual call takes the Jacobian stencils of all active starts
@@ -18,12 +17,11 @@ path bit for bit; ladder points past the kept one are wasted work.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .amplitude import (analytic_coefficients, steady_amplitude_stack,
-                        steady_amplitudes)
+from .amplitude import steady_amplitude_stack, steady_amplitudes
 from .fock import FockBasis
 from .lindblad import steady_g2
 from .model import SystemParams
@@ -32,6 +30,8 @@ NEWTON_FD_STEP = 1e-9
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 20
 DEDUPE_DIST = 1e-8
+# a root counts if inside the search box widened by this share of its extent
+BOX_PAD = 0.1
 CPB_PROXIMITY_KAPPAS = 5.0
 # the stencil offsets dx_i (row i) and the ladder scales 1, 1/2, 1/4, ...
 _FD = NEWTON_FD_STEP * np.eye(2)
@@ -165,27 +165,6 @@ def _newton_paths(fun, starts: np.ndarray, tol: float) -> np.ndarray:
     return np.where((live & (_norms(f) <= tol))[:, None], x, np.nan)
 
 
-def _newton_roots(fun, grid: SearchGrid, tol: float,
-                  pad: float | None = None) -> list[np.ndarray]:
-    """Distinct Newton roots from the grid starts, sorted by delta.
-
-    With pad, a root must lie in the grid box widened on each side by pad
-    times its extent.  A start dropped by ``_newton_paths`` is skipped.
-    """
-    (d_lo, d_hi), (l_lo, l_hi) = grid.delta_range, grid.lambda_range
-    d_pad, l_pad = (pad or 0.0) * (d_hi - d_lo), (pad or 0.0) * (l_hi - l_lo)
-    roots: list[np.ndarray] = []
-    for x in _newton_paths(fun, grid.starts(), tol):
-        if np.isnan(x).any() or any(np.linalg.norm(x - r) < DEDUPE_DIST
-                                    for r in roots):
-            continue
-        if pad is not None and not (d_lo - d_pad <= x[0] <= d_hi + d_pad and
-                                    l_lo - l_pad <= x[1] <= l_hi + l_pad):
-            continue
-        roots.append(x)
-    return sorted(roots, key=lambda r: r[0])
-
-
 def find_optimal_pairs(p: SystemParams, cavity: int,
                        grid: SearchGrid, g2_cutoff: int = 4,
                        oracle_threshold: float | None = 1e-2
@@ -193,10 +172,11 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
     """All distinct antibunching roots reachable from the grid starts.
 
     Newton runs from all starts in lockstep on ``target_residual_stack``
-    (see the module docstring).  Its roots are deduplicated, restricted to
-    a 10%-padded grid box and sorted by delta; each then takes one
-    ``target_residual`` call for its residual and one ``steady_g2`` call
-    for the master-equation g2 of the target cavity, and is classified.
+    (see the module docstring).  Its roots inside the grid box widened by
+    BOX_PAD on each side are deduplicated in start order and sorted by
+    delta; each then takes one ``target_residual`` call for its residual
+    and one ``steady_g2`` call for the master-equation g2 of the target
+    cavity, and is classified.
 
     A returned pair is certified by the master-equation oracle: roots whose
     exact g2 at the drive ``p.drive_E`` exceeds ``oracle_threshold`` are
@@ -215,9 +195,20 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
         return []
     tol = 1e-10 * p.drive_E ** 2
 
+    ends = _newton_paths(lambda x: target_residual_stack(x, p, cavity),
+                         grid.starts(), tol)
+    box = np.array([grid.delta_range, grid.lambda_range])  # (lo, hi) rows
+    pad = BOX_PAD * (box[:, 1] - box[:, 0])
+    # false on the NaN rows of dropped starts
+    inside = ((box[:, 0] - pad <= ends)
+              & (ends <= box[:, 1] + pad)).all(axis=1)
+    roots: list[np.ndarray] = []
+    for x in ends[inside]:
+        if all(np.linalg.norm(x - r) >= DEDUPE_DIST for r in roots):
+            roots.append(x)
+
     pairs = []
-    for x in _newton_roots(lambda x: target_residual_stack(x, p, cavity),
-                           grid, tol, pad=0.1):
+    for x in sorted(roots, key=lambda r: r[0]):
         resid = abs(target_residual(x[0], x[1], p, cavity))
         g2 = steady_g2(p.replace(delta=-x[0], lambda_gain=x[1]),
                        cutoff=g2_cutoff)[cavity - 1]
@@ -229,56 +220,24 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
     return pairs
 
 
-def closed_form_roots(p: SystemParams, cavity: int, grid: SearchGrid
-                      ) -> list[tuple[float, float]]:
-    """Roots of the printed closed-form coefficients, for typo isolation.
-
-    Same lockstep Newton applied to the published formulas, one point at
-    a time; compared against the solve-path roots when the two disagree by
-    more than 1e-6 in either coordinate.
-    """
-    if p.drive_E <= 0:
-        return []
-    tol = 1e-10 * p.drive_E ** 2
-
-    def fun(x):
-        f, void = np.full(x.shape, np.nan), np.zeros(len(x), dtype=bool)
-        for k, (delta, lam) in enumerate(x):
-            try:
-                s = analytic_coefficients(p.replace(delta=delta,
-                                                    lambda_gain=lam))
-            except ArithmeticError:     # a denominator vanishes or overflows
-                void[k] = True
-                continue
-            c = s.c20 if cavity == 1 else s.c02
-            f[k] = c.real, c.imag
-        return f, void
-
-    return [(float(r[0]), float(r[1])) for r in _newton_roots(fun, grid, tol)]
-
-
 def classify_mechanism(pair: OptimalPair, p: SystemParams) -> OptimalPair:
     """Tag a root as conventional (CPB) or interference (UCPB) blockade.
 
     CPB requires a resolved nonlinearity (mu > kappa) and proximity of the
     reported detuning to a single-excitation resonance mu +/- J within
-    5*kappa.  When both resonances match, the closer one is annotated.
+    5*kappa.  When both resonances match, the closer one is annotated
+    (delta_plus on a tie).
     """
-    d_plus = p.mu + p.hop_J
-    d_minus = p.mu - p.hop_J
-    near_plus = abs(pair.delta_opt - d_plus) <= CPB_PROXIMITY_KAPPAS * p.kappa
-    near_minus = abs(pair.delta_opt - d_minus) <= CPB_PROXIMITY_KAPPAS * p.kappa
-    if p.mu > p.kappa and (near_plus or near_minus):
-        if near_plus and near_minus:
-            prox = ("delta_plus" if abs(pair.delta_opt - d_plus)
-                    <= abs(pair.delta_opt - d_minus) else "delta_minus")
-            prox += "+both"
-        else:
-            prox = "delta_plus" if near_plus else "delta_minus"
-        return OptimalPair(**{**asdict(pair), "mechanism": "CPB",
-                              "proximity": prox})
-    return OptimalPair(**{**asdict(pair), "mechanism": "UCPB",
-                          "proximity": ""})
+    d_plus = abs(pair.delta_opt - (p.mu + p.hop_J))
+    d_minus = abs(pair.delta_opt - (p.mu - p.hop_J))
+    near_plus = d_plus <= CPB_PROXIMITY_KAPPAS * p.kappa
+    near_minus = d_minus <= CPB_PROXIMITY_KAPPAS * p.kappa
+    if not (p.mu > p.kappa and (near_plus or near_minus)):
+        return replace(pair, mechanism="UCPB", proximity="")
+    plus = near_plus and (not near_minus or d_plus <= d_minus)
+    prox = ("delta_plus" if plus else "delta_minus") + (
+        "+both" if near_plus and near_minus else "")
+    return replace(pair, mechanism="CPB", proximity=prox)
 
 
 def pairs_to_json(pairs: list[OptimalPair]) -> str:

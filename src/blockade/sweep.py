@@ -146,12 +146,10 @@ def _write_rows(rows: list[dict], csv_path) -> None:
                         for v in (row[k] for k in ROW_FIELDS)])
 
 
-def write_csv(result: SweepResult, csv_path, meta_path=None) -> None:
-    """Rows as CSV; metadata to ``meta_path`` or else a sibling ``.json``."""
+def write_csv(result: SweepResult, csv_path) -> None:
+    """Rows as CSV; metadata to the sibling ``.json``."""
     _write_rows(result.rows, csv_path)
-    if meta_path is None:
-        meta_path = os.path.splitext(str(csv_path))[0] + ".json"
-    with open(meta_path, "w") as fh:
+    with open(os.path.splitext(str(csv_path))[0] + ".json", "w") as fh:
         json.dump(result.metadata, fh, indent=2)
 
 

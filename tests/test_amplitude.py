@@ -162,16 +162,20 @@ def test_one_photon_amplitudes_match_closed_forms():
         assert got.c10 == pytest.approx(-np.conj(ref.c10), rel=1e-10)
 
 
-def test_two_photon_sign_relation_without_gain():
-    # with lambda = 0 the mirrored-solve pair amplitudes conjugate cleanly
+@pytest.mark.parametrize("lambda_gain", [0.0, 5e-6])
+def test_two_photon_sign_relation(lambda_gain):
+    # with or without gain the mirrored-solve pair amplitudes are the
+    # conjugated closed forms, so both share the optimal-pair roots
     rng = np.random.default_rng(99)
     for _ in range(20):
         p = weak_params(delta=rng.uniform(-0.01, 0.01),
+                        lambda_gain=lambda_gain,
                         hop_J=rng.uniform(0.0, 0.002),
                         g_om=rng.uniform(0.0, 0.1))
         ref = analytic_coefficients(p)
         got = steady_amplitudes(p.replace(delta=-p.delta))
-        assert got.c20 == pytest.approx(np.conj(ref.c20), rel=1e-9)
+        assert got.c20 == pytest.approx(np.conj(ref.c20), rel=1e-12)
+        assert got.c02 == pytest.approx(np.conj(ref.c02), rel=1e-12)
 
 
 def test_singularity_detection():

@@ -9,9 +9,9 @@ from blockade.model import SystemParams, strong_params, weak_params
 from blockade.optimize import (NEWTON_FD_STEP, NEWTON_MAX_HALVINGS,
                                NEWTON_MAX_ITER, STRONG_GRID, WEAK_GRID,
                                OptimalPair, SearchGrid, _newton_paths, _norms,
-                               classify_mechanism, closed_form_roots,
-                               find_optimal_pairs, pairs_to_json,
-                               target_residual, target_residual_stack)
+                               classify_mechanism, find_optimal_pairs,
+                               pairs_to_json, target_residual,
+                               target_residual_stack)
 
 # Published optimal pairs on the reporting axis (cavity 1).
 WEAK_PAIR = (-0.73e-4, 0.93e-6)
@@ -295,7 +295,13 @@ def test_classify_mechanism_rules():
     pair = OptimalPair(0.04, 1e-6, 0.0, 1, 1e-3)
     # resolved Kerr and right on the degenerate mu +/- J resonance
     tagged = classify_mechanism(pair, strong_params(hop_J=0.0))
-    assert tagged.mechanism == "CPB" and tagged.proximity.endswith("+both")
+    assert tagged.mechanism == "CPB" and tagged.proximity == "delta_plus+both"
+    # both resonances within 5 kappa: the closer one is annotated
+    q = strong_params(hop_J=0.002)
+    closer = classify_mechanism(OptimalPair(q.mu - q.hop_J, 1e-6, 0.0, 1,
+                                            1e-3), q)
+    assert closer.proximity == "delta_minus+both"
+    assert closer.delta_opt == q.mu - q.hop_J and closer.g2_check == 1e-3
     # unresolved nonlinearity (mu < kappa) can never be conventional blockade
     weak_tag = classify_mechanism(OptimalPair(weak_params().mu, 1e-6, 0.0,
                                               1, 1e-3), weak_params())
@@ -304,20 +310,6 @@ def test_classify_mechanism_rules():
     far = classify_mechanism(OptimalPair(0.5, 1e-6, 0.0, 1, 1e-3),
                              strong_params())
     assert far.mechanism == "UCPB"
-
-
-def test_closed_form_roots_match_solver_roots():
-    # the printed closed forms for cavity 1 share the solve-path root set
-    grid = SearchGrid((-0.005, 0.005), (-2e-6, 2e-6), 8, 4)
-    p = weak_params()
-    analytic = closed_form_roots(p, 1, grid)
-    solver = find_optimal_pairs(p, 1, grid, oracle_threshold=None)
-    for d, l in analytic:
-        if not (-0.006 < d < 0.006):
-            continue
-        dist = min(np.hypot(d - q.delta_opt, l - q.lambda_opt)
-                   for q in solver)
-        assert dist < 1e-6
 
 
 def test_pairs_to_json_fields():

@@ -206,8 +206,18 @@ def no_search(monkeypatch):
     """Fail the test if a sweep or the optimal-pair search starts."""
     def fail(*args, **kwargs):
         raise AssertionError("the computation ran")
-    monkeypatch.setattr(blockade.optimize, "_newton_roots", fail)
+    monkeypatch.setattr(blockade.optimize, "_newton_paths", fail)
     monkeypatch.setattr(blockade.cli, "run_sweep", fail)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", "weak", "--range", "-0.01", "0.01"],
+    ["optimize", "--preset", "weak", "--starts", "4", "4"],
+])
+def test_no_search_fires_on_valid_runs(argv, tmp_path, no_search):
+    # else the rejection tests below would pass on a search that starts
+    with pytest.raises(AssertionError, match="the computation ran"):
+        cli_main(argv + ["--out", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("argv", [
