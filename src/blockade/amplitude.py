@@ -29,15 +29,10 @@ import numpy as np
 from .model import (SystemParams, non_hermitian_hamiltonian,  # noqa: F401
                     stacked_rates)
 
-_DET_FLOOR = 1e-300
 _SQRT2 = np.sqrt(2.0)
 # Occupation 2 as the Fock-space build rounds it: sqrt(2)*sqrt(2), not 2.
 _TWO = _SQRT2 * _SQRT2
 _OCCUPATION = np.array([0.0, 1.0, 1.0, 1.0 + 1.0, _TWO, _TWO])
-
-
-class ResonanceSingularityError(ArithmeticError):
-    """A one- or two-photon block is singular (parameters on a resonance)."""
 
 
 class UndefinedCorrelationError(ZeroDivisionError):
@@ -101,25 +96,15 @@ def subspace_block(p: SystemParams, **arrays) -> np.ndarray:
     return h
 
 
-def _solve_regular(m: np.ndarray, b: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve each m x = b whose determinant clears _DET_FLOOR; flag others."""
-    bad = np.abs(np.linalg.det(m)) < _DET_FLOOR
-    if bad.any():                           # their solutions are void
-        m = np.where(bad[:, None, None], np.eye(m.shape[-1]), m)
-    return np.linalg.solve(m, b[..., None])[..., 0], bad
-
-
-def steady_amplitude_stack(p: SystemParams, **arrays
-                           ) -> tuple[np.ndarray, np.ndarray]:
+def steady_amplitude_stack(p: SystemParams, **arrays) -> np.ndarray:
     """Weak-driving hierarchy of each block of ``subspace_block(p, **arrays)``.
 
     c00 is pinned to 1 (no renormalization).  The one-photon 2x2 block is
     solved ignoring two-photon feedback; the two-photon 3x3 block is then
     sourced by the one-photon amplitudes and the direct parametric-gain
-    excitation of |02> and |20>.  Returns the (N, 6) amplitudes and per
-    point "", or the name of the first block whose determinant is below
-    _DET_FLOOR ("one-photon", "two-photon"; that point's amplitudes are void).
+    excitation of |02> and |20>.  Returns the (N, 6) amplitudes.  No block
+    is singular: each is Hermitian, shifted by -i*kappa/2 per photon, so
+    |det| >= (kappa/2)**2 and >= kappa**3 with kappa > 0.
     """
     if p.drive_E <= 0:
         raise ValueError("steady amplitudes require drive_E > 0")
@@ -130,21 +115,17 @@ def steady_amplitude_stack(p: SystemParams, **arrays
     h = subspace_block(p, **arrays)
     one, two = slice(1, 3), slice(3, 6)     # |01>, |10> and |11>, |02>, |20>
     c = np.ones(h.shape[:2], dtype=complex)
-    c[:, one], bad_one = _solve_regular(h[:, one, one], -h[:, one, 0])
+    c[:, one] = np.linalg.solve(h[:, one, one], -h[:, one, 0, None])[..., 0]
     # written out: a stacked matmul rounds unlike the per-point 2-term dot
     src = h[:, two, 0] + (h[:, two, 1] * c[:, 1, None]
                           + h[:, two, 2] * c[:, 2, None])
-    c[:, two], bad_two = _solve_regular(h[:, two, two], -src)
-    return c, np.where(bad_one, "one-photon",
-                       np.where(bad_two, "two-photon", ""))
+    c[:, two] = np.linalg.solve(h[:, two, two], -src[..., None])[..., 0]
+    return c
 
 
 def steady_amplitudes(p: SystemParams) -> AmplitudeState:
     """Steady amplitudes at one point; see ``steady_amplitude_stack``."""
-    c, singular = steady_amplitude_stack(p)
-    if singular[0]:
-        raise ResonanceSingularityError("%s block is singular" % singular[0])
-    return AmplitudeState(*c[0])
+    return AmplitudeState(*steady_amplitude_stack(p)[0])
 
 
 def analytic_coefficients(p: SystemParams) -> AmplitudeState:
@@ -161,8 +142,6 @@ def analytic_coefficients(p: SystemParams) -> AmplitudeState:
 
     d1 = lam ** 2 - j ** 2
     d2 = gam * lam - j ** 2
-    if min(abs(d1), abs(d2), abs(gam)) < _DET_FLOOR:
-        raise ResonanceSingularityError("closed-form denominator underflow")
 
     c01 = j * e / d1
     c10 = lam * e / d1

@@ -2,7 +2,8 @@
 
 Subcommands: sweep, optimize, figure, g2, params.  Exit codes: 0 success,
 1 usage error (also a configuration that a SystemParams, SweepSpec,
-SearchGrid or FockBasis check rejects, or an unopenable file), 2 solver error.
+SearchGrid or FockBasis check rejects, an unopenable file, or a sweep whose
+metadata file would overwrite its --out or --params-file), 2 solver error.
 
 Detunings given on the command line (``--delta``, ``optimize`` output)
 follow the published reporting axis, i.e. the sign convention of the
@@ -21,18 +22,18 @@ import sys
 
 import numpy as np
 
-from .amplitude import (ResonanceSingularityError, UndefinedCorrelationError,
-                        g2_from_amplitudes, steady_amplitudes)
+from .amplitude import (UndefinedCorrelationError, g2_from_amplitudes,
+                        steady_amplitudes)
 from .lindblad import (EmptyModeError, SingularLiouvillianError,
                        UnphysicalStateError, steady_g2)
 from .model import SystemParams, load_params, strong_params, weak_params
 from .optimize import (STRONG_GRID, WEAK_GRID, SearchGrid, find_optimal_pairs,
                        pairs_to_json)
-from .sweep import FIGURE_IDS, SweepSpec, figure_dataset, run_sweep, write_csv
+from .sweep import (FIGURE_IDS, SweepSpec, _metadata_path, figure_dataset,
+                    run_sweep, write_csv)
 
-SOLVER_ERRORS = (ResonanceSingularityError, UndefinedCorrelationError,
-                 SingularLiouvillianError, EmptyModeError,
-                 UnphysicalStateError, np.linalg.LinAlgError)
+SOLVER_ERRORS = (UndefinedCorrelationError, SingularLiouvillianError,
+                 EmptyModeError, UnphysicalStateError, np.linalg.LinAlgError)
 
 
 class UsageError(ValueError):
@@ -166,6 +167,9 @@ def _cmd_sweep(args) -> int:
                      cavity=args.cavity, axis_flip=args.flip_axis,
                      cutoff=args.cutoff)
     _check_writable(args.out)
+    meta, named = _metadata_path(args.out), (args.out, args.params_file)
+    if os.path.realpath(meta) in [os.path.realpath(f) for f in named if f]:
+        raise UsageError("metadata %s would overwrite a named file" % meta)
     write_csv(run_sweep(spec), args.out)
     print("wrote %s" % args.out)
     return 0

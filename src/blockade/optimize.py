@@ -95,23 +95,22 @@ def target_residual(delta: float, lam: float, p: SystemParams,
 
 
 def target_residual_stack(x: np.ndarray, p: SystemParams, cavity: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
+                          ) -> np.ndarray:
     """``target_residual`` at each row (delta, lambda) of x, bit for bit, as
-    (N, 2) rows (real, imag); and whether a block is singular there."""
+    (N, 2) rows (real, imag)."""
     if p.theta != 0.0 or p.phi != 0.0:
         raise ValueError("target_residual requires theta = phi = 0")
-    c, singular = steady_amplitude_stack(p, delta=-x[:, 0],
-                                         lambda_gain=x[:, 1])
+    c = steady_amplitude_stack(p, delta=-x[:, 0], lambda_gain=x[:, 1])
     c = np.conj(c[:, 5 if cavity == 1 else 4])          # c20 or c02
-    return np.stack([c.real, c.imag], axis=1), singular != ""
+    return np.stack([c.real, c.imag], axis=1)
 
 
-def _evaluate(fun, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """fun at the finite points (last axis) of x; the others are void."""
+def _evaluate(fun, x: np.ndarray) -> np.ndarray:
+    """fun at the finite points (last axis) of x; NaN rows at the others."""
     ok = np.isfinite(x).all(axis=-1)
-    f, void = np.full(x.shape, np.nan), ~ok
-    f[ok], void[ok] = fun(x[ok])
-    return f, void
+    f = np.full(x.shape, np.nan)
+    f[ok] = fun(x[ok])
+    return f
 
 
 def _norms(f: np.ndarray) -> np.ndarray:
@@ -135,31 +134,29 @@ def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
 def _newton_paths(fun, starts: np.ndarray, tol: float) -> np.ndarray:
     """End points of damped Newton from each row of starts, in lockstep.
 
-    fun maps (N, 2) points to residuals and void flags.  A start ends on a
-    NaN row if its path meets a void or non-finite point (up to its kept
-    ladder point), if its Jacobian is singular, if no ladder point lowers
-    the norm, or if the norm is above tol after NEWTON_MAX_ITER steps.
+    fun maps (N, 2) points to (N, 2) residuals.  A start ends on a NaN row
+    if its Jacobian is singular, if no ladder point lowers the norm, or if
+    the norm is above tol after NEWTON_MAX_ITER steps.  A NaN residual (as
+    at non-finite points) never lowers the norm: live iterates stay finite.
     """
     x = np.array(starts, dtype=float)
-    f, void = _evaluate(fun, x)
-    live = ~void
+    f = _evaluate(fun, x)
+    live = np.ones(len(x), dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
         act = np.flatnonzero(live & (_norms(f) > tol))
         if not act.size:
             break
         xa, fa = x[act], f[act]
         # column i of the Jacobian from the stencil points x +/- dx_i
-        fd, void_fd = _evaluate(fun, np.concatenate(
+        fd = _evaluate(fun, np.concatenate(
             [xa[:, None] + _FD, xa[:, None] - _FD], axis=1))
         jac = (fd[:, :2] - fd[:, 2:]) / (2 * NEWTON_FD_STEP)
         step = _newton_steps(jac.transpose(0, 2, 1), fa)
         ladder = xa[:, None] + _LADDER[:, None] * step[:, None]
-        fl, void_fl = _evaluate(fun, ladder)
+        fl = _evaluate(fun, ladder)
         better = _norms(fl) < _norms(fa)[:, None]
         k = better.argmax(axis=1)                       # the first improving
-        reached = np.arange(NEWTON_MAX_HALVINGS) <= k[:, None]
-        live[act] = (better.any(axis=1) & ~void_fd.any(axis=1)
-                     & ~(void_fl & reached).any(axis=1))
+        live[act] = better.any(axis=1)
         rows = np.arange(len(act))
         x[act], f[act] = ladder[rows, k], fl[rows, k]
     return np.where((live & (_norms(f) <= tol))[:, None], x, np.nan)

@@ -79,15 +79,12 @@ def _amplitude_columns(spec: SweepSpec, values: np.ndarray,
                        rows: list[dict]) -> None:
     """g2_j_amp of every row from one stacked amplitude solve."""
     cavities = (1, 2) if spec.cavity == "both" else (int(spec.cavity),)
-    amps, singular = steady_amplitude_stack(
-        spec.base, **{_AXIS_FIELD[spec.axis]: values})
-    for row, c, bad in zip(rows, amps, singular):
-        s = None if bad else AmplitudeState(*c)
+    amps = steady_amplitude_stack(spec.base,
+                                  **{_AXIS_FIELD[spec.axis]: values})
+    for row, c in zip(rows, amps):
+        s = AmplitudeState(*c)
         for cav in cavities:
             key = "g2_%d_amp" % cav
-            if s is None:
-                row[key] = "err:ResonanceSingularityError"
-                continue
             try:
                 row[key] = g2_cavity(s, cav)
             except UndefinedCorrelationError:
@@ -146,10 +143,15 @@ def _write_rows(rows: list[dict], csv_path) -> None:
                         for v in (row[k] for k in ROW_FIELDS)])
 
 
+def _metadata_path(csv_path) -> str:
+    """The sibling ``.json`` of a sweep CSV, where its metadata goes."""
+    return os.path.splitext(str(csv_path))[0] + ".json"
+
+
 def write_csv(result: SweepResult, csv_path) -> None:
     """Rows as CSV; metadata to the sibling ``.json``."""
     _write_rows(result.rows, csv_path)
-    with open(os.path.splitext(str(csv_path))[0] + ".json", "w") as fh:
+    with open(_metadata_path(csv_path), "w") as fh:
         json.dump(result.metadata, fh, indent=2)
 
 

@@ -79,8 +79,7 @@ def test_residual_stack_equals_target_residual(preset, cavity):
     x = np.column_stack([rng.uniform(-0.1, 0.1, 200),
                          rng.uniform(-5e-6, 5e-6, 200)])
     p = preset()
-    f, void = target_residual_stack(x, p, cavity)
-    assert not void.any()
+    f = target_residual_stack(x, p, cavity)
     for (delta, lam), row, norm in zip(x, f, _norms(f)):
         r = target_residual(delta, lam, p, cavity)
         assert row.tobytes() == np.array([r.real, r.imag]).tobytes()
@@ -100,11 +99,8 @@ def _search(preset, n_delta, n_lambda):
 def _lone_newton(fun, x, tol):
     """Damped Newton from one start, one point at a time: the reference
     path of ``_newton_paths``.  None where a start is dropped."""
-    def res(y):
-        f, void = fun(y[None])
-        if void[0]:
-            raise ArithmeticError("void residual")
-        return f[0]
+    def res(y):         # NaN at non-finite points, as _newton_paths has it
+        return fun(y[None])[0] if np.isfinite(y).all() else np.full(2, np.nan)
 
     try:
         f = res(x)
@@ -127,7 +123,7 @@ def _lone_newton(fun, x, tol):
                 return None
             x, f = x + scale * step, f_new
         return x if np.linalg.norm(f) <= tol else None
-    except (np.linalg.LinAlgError, ArithmeticError):
+    except np.linalg.LinAlgError:
         return None
 
 
@@ -167,32 +163,40 @@ def _first_points(fun, start, tol):
     return calls[:3]
 
 
+@pytest.mark.filterwarnings("error")
 def test_singular_point_on_a_path_drops_only_its_start(monkeypatch):
     fun, starts, tol = _search(weak_params, 4, 4)
     free = _newton_paths(fun, starts, tol)
     (x0,), stencil, ladder = _first_points(fun, starts[4], tol)
-    norm0 = np.linalg.norm(fun(x0[None])[0][0])
-    kept = next(k for k, f in enumerate(fun(ladder)[0])
+    norm0 = np.linalg.norm(fun(x0[None])[0])
+    kept = next(k for k, f in enumerate(fun(ladder))
                 if np.linalg.norm(f) < norm0)
     stack = blockade.optimize.steady_amplitude_stack
-    # flagged: a stencil point, the kept ladder point, the ladder points
-    # past it (which a lone start never evaluates)
-    for flagged, dropped in ((stencil[2:3], True),
-                             (ladder[kept:kept + 1], True),
-                             (ladder[kept + 1:], False)):
-        def singular_there(p, flagged=flagged, **arrays):
-            c, singular = stack(p, **arrays)
-            at = ((arrays["delta"][:, None] == -flagged[:, 0])
-                  & (arrays["lambda_gain"][:, None] == flagged[:, 1]))
-            return c, np.where(at.any(axis=1), "two-photon", singular)
+    # NaN amplitudes at: a stencil point (the start is dropped), the kept
+    # ladder point (the start goes on from the next improving one, as a
+    # lone start does), the ladder points past it (which a lone start never
+    # evaluates, so nothing changes)
+    for at_nan, moved in ((stencil[2:3], "dropped"),
+                          (ladder[kept:kept + 1], "lone"),
+                          (ladder[kept + 1:], "unchanged")):
+        def nan_there(p, at_nan=at_nan, **arrays):
+            c = stack(p, **arrays)
+            at = ((arrays["delta"][:, None] == -at_nan[:, 0])
+                  & (arrays["lambda_gain"][:, None] == at_nan[:, 1]))
+            c[at.any(axis=1)] = np.nan
+            return c
 
         monkeypatch.setattr(blockade.optimize, "steady_amplitude_stack",
-                            singular_there)
+                            nan_there)
         paths = _newton_paths(fun, starts, tol)
         others = np.arange(len(starts)) != 4
         np.testing.assert_array_equal(paths[others], free[others])
-        if dropped:
+        if moved == "dropped":
             assert np.isnan(paths[4]).all()
+        elif moved == "lone":
+            ref = _lone_newton(fun, starts[4], tol)
+            assert paths[4].tobytes() == ref.tobytes()
+            assert paths[4].tobytes() != free[4].tobytes()
         else:
             assert paths[4].tobytes() == free[4].tobytes()
 
@@ -200,8 +204,7 @@ def test_singular_point_on_a_path_drops_only_its_start(monkeypatch):
 def test_singular_jacobian_drops_its_start():
     # (x0^2 - 1, x1) has a singular Jacobian at x0 = 0
     def parabola(x):
-        return (np.column_stack([x[:, 0] ** 2 - 1.0, x[:, 1]]),
-                np.zeros(len(x), dtype=bool))
+        return np.column_stack([x[:, 0] ** 2 - 1.0, x[:, 1]])
 
     paths = _newton_paths(parabola, np.array([[0.0, 0.2], [2.0, 0.5],
                                               [-0.5, 0.1]]), 1e-12)
@@ -219,11 +222,11 @@ def test_non_finite_iterate_drops_its_start(monkeypatch):
     def overflowing(p, **arrays):
         # the pair amplitude overflows at that start, so its Newton step
         # and the next iterate are not finite
-        c, singular = stack(p, **arrays)
+        c = stack(p, **arrays)
         at = ((arrays["delta"] == -starts[4, 0])
               & (arrays["lambda_gain"] == starts[4, 1]))
         c[at, 5] = np.inf
-        return c, singular
+        return c
 
     monkeypatch.setattr(blockade.optimize, "steady_amplitude_stack",
                         overflowing)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from blockade.cli import build_parser, cli_main
 from blockade.lindblad import steady_g2
 from blockade.sweep import (FIGURE_IDS, ROW_FIELDS, SweepSpec, figure_dataset,
                             run_sweep, write_csv)
-from blockade.model import SystemParams, strong_params, weak_params
+from blockade.model import strong_params, weak_params
 
 
 def _g2_1_amp(rows):
@@ -74,21 +75,6 @@ def test_stacked_rows_equal_point_solves():
             s = steady_amplitudes(base.replace(**{field: float(v)}))
             assert row["g2_1_amp"] == g2_cavity(s, 1)
             assert row["g2_2_amp"] == g2_cavity(s, 2)
-
-
-def test_singular_block_marks_only_its_row():
-    # delta = 0 with a vanishing kappa underflows the one-photon determinant;
-    # the drive sits outside the weak window to keep the other rows finite
-    base = SystemParams(hop_J=0.0, kappa=1e-160, drive_E=1e-4)
-    spec = SweepSpec(axis="delta", range=(-0.002, 0.002), points=5,
-                     base=base, method="amplitude", cavity="1")
-    with pytest.warns(WeakDrivingWarning):
-        rows = run_sweep(spec).rows
-    assert rows[2]["axis_value"] == 0.0
-    assert rows[2]["g2_1_amp"] == "err:ResonanceSingularityError"
-    for k in (0, 1, 3, 4):
-        assert rows[k]["g2_1_amp"] == pytest.approx(1.0)   # linear cavity
-    assert all(row["g2_2_amp"] == "" for row in rows)
 
 
 def test_spec_rejects_axis_values_outside_the_parameter_domain():
@@ -313,15 +299,58 @@ def test_cli_unwritable_out_exits_1(argv, tmp_path, capsys, no_search):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("out, params_file", [
+    ("data.json", None),                # the metadata would replace the CSV
+    ("run.csv", os.path.join(".", "run.json")),     # ... or the input file
+])
+def test_cli_metadata_over_a_named_file_exits_1(out, params_file, tmp_path,
+                                                capsys, no_search):
+    argv = ["sweep", "--range", "-0.01", "0.01", "--out", str(tmp_path / out)]
+    if params_file:
+        (tmp_path / params_file).write_text(json.dumps({"kappa": 0.002}))
+        # another spelling of the path that the metadata file would take
+        argv += ["--params-file", str(tmp_path) + os.sep + params_file]
+    else:
+        (tmp_path / out).write_text("a,b\n")
+        argv += ["--preset", "weak"]
+    before = {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)}
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "would overwrite" in err
+    assert {f: (tmp_path / f).read_bytes()
+            for f in os.listdir(tmp_path)} == before
+
+
 def test_cli_solver_error_exit_code(tmp_path, capsys):
-    # decoupled, gain-free cavity 2 has no photons: solver error, exit 2
-    pfile = tmp_path / "p.json"
-    pfile.write_text(json.dumps({"kappa": 0.002, "drive_E": 4e-5,
-                                 "hop_J": 0.0}))
-    code = cli_main(["g2", "--params-file", str(pfile), "--method", "amp",
-                     "--cavity", "both"])
-    assert code == 2
-    assert "solver error" in capsys.readouterr().err
+    for params, sweep_code in (
+            # decoupled, gain-free cavity 2 has no photons: g2 fails, the
+            # sweep marks that column err: in every row
+            ({"kappa": 0.002, "drive_E": 4e-5, "hop_J": 0.0}, 0),
+            # kappa/2 rounds to 0: the one-photon block at delta = 0 is
+            # singular, and the stacked solve fails the whole sweep
+            ({"kappa": 5e-324, "drive_E": 5e-324, "hop_J": 0.0}, 2)):
+        pfile, out = tmp_path / "p.json", tmp_path / "s.csv"
+        pfile.write_text(json.dumps(params))
+        with warnings.catch_warnings():     # E > 0.1 kappa at kappa = 5e-324
+            warnings.simplefilter("ignore", WeakDrivingWarning)
+            g2_code = cli_main(["g2", "--params-file", str(pfile),
+                                "--method", "amp", "--cavity", "both"])
+            g2_err = capsys.readouterr().err
+            code = cli_main(["sweep", "--params-file", str(pfile),
+                             "--range", "-1e-3", "1e-3", "--points", "3",
+                             "--method", "amp", "--out", str(out)])
+        assert g2_code == 2 and "solver error" in g2_err
+        err = capsys.readouterr().err
+        assert code == sweep_code
+        assert out.exists() == (sweep_code == 0)
+        if sweep_code:
+            assert "solver error: LinAlgError" in err
+        else:
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            assert all(r["g2_2_amp"] == "err:UndefinedCorrelationError"
+                       for r in rows)
+            out.unlink()
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
