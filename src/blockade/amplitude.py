@@ -19,8 +19,9 @@ Two routes are provided:
 
 from __future__ import annotations
 
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -109,9 +110,13 @@ def steady_amplitude_stack(p: SystemParams, **arrays) -> np.ndarray:
     if p.drive_E <= 0:
         raise ValueError("steady amplitudes require drive_E > 0")
     if p.drive_E > 0.1 * p.kappa:
+        # the warning names the innermost caller outside this package
+        level, frame = 2, sys._getframe(1)
+        while frame.f_globals.get("__package__") == __package__:
+            level, frame = level + 1, frame.f_back
         warnings.warn("drive_E > 0.1*kappa: outside the weak-driving window, "
                       "amplitude hierarchy may be inaccurate",
-                      WeakDrivingWarning, stacklevel=3)
+                      WeakDrivingWarning, stacklevel=level)
     h = subspace_block(p, **arrays)
     one, two = slice(1, 3), slice(3, 6)     # |01>, |10> and |11>, |02>, |20>
     c = np.ones(h.shape[:2], dtype=complex)
@@ -157,18 +162,28 @@ def analytic_coefficients(p: SystemParams) -> AmplitudeState:
                           c11=c11, c02=c02, c20=c20)
 
 
-def g2_cavity(s: AmplitudeState, cavity: int) -> float:
-    """g2(0) of one cavity from the amplitude hierarchy.
+def g2_cavity_stack(c: np.ndarray, cavity: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(g2, undefined) of one cavity at each row of an (N, 6) amplitude stack.
 
     Uses the weak-driving occupation approximation n_1 ~ |c10|**2,
-    n_2 ~ |c01|**2.
+    n_2 ~ |c01|**2; g2 is undefined where that amplitude is zero.  hypot and
+    pow() round as abs(complex) and float ** do, np.abs and ** not always.
     """
     if cavity not in (1, 2):
         raise ValueError("cavity must be 1 or 2")
-    c_two, c_one = (s.c20, s.c10) if cavity == 1 else (s.c02, s.c01)
-    if c_one == 0:
+    two, one = (c[:, 5], c[:, 2]) if cavity == 1 else (c[:, 4], c[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (2.0 * np.float_power(np.hypot(two.real, two.imag), 2)
+                / np.float_power(np.hypot(one.real, one.imag), 4), one == 0)
+
+
+def g2_cavity(s: AmplitudeState, cavity: int) -> float:
+    """g2(0) of one cavity; see ``g2_cavity_stack``."""
+    g2, undefined = g2_cavity_stack(np.array([astuple(s)]), cavity)
+    if undefined[0]:
         raise UndefinedCorrelationError("one-photon amplitude is zero")
-    return float(2.0 * abs(c_two) ** 2 / abs(c_one) ** 4)
+    return float(g2[0])
 
 
 def g2_from_amplitudes(s: AmplitudeState) -> tuple[float, float]:

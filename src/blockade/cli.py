@@ -2,8 +2,9 @@
 
 Subcommands: sweep, optimize, figure, g2, params.  Exit codes: 0 success,
 1 usage error (also a configuration that a SystemParams, SweepSpec,
-SearchGrid or FockBasis check rejects, an unopenable file, or a sweep whose
-metadata file would overwrite its --out or --params-file), 2 solver error.
+SearchGrid or FockBasis check rejects, an unopenable file, or an output
+file, --out or a sweep's metadata, that would overwrite the --params-file or
+the other output), 2 solver error.
 
 Detunings given on the command line (``--delta``, ``optimize`` output)
 follow the published reporting axis, i.e. the sign convention of the
@@ -72,12 +73,18 @@ def _base_params(args) -> SystemParams:
     return p.replace(**over) if over else p
 
 
-def _check_writable(path) -> None:
-    """Raise OSError unless path's directory exists and is writable, so that
-    a run fails before it computes; creates and truncates nothing."""
-    if os.path.isdir(path) or not os.access(
-            os.path.dirname(os.path.abspath(path)), os.W_OK):
-        raise OSError("cannot write %s" % path)
+def _check_outputs(params_file, *paths) -> None:
+    """Fail before a run computes: OSError unless the first path's directory
+    exists and is writable, UsageError if a path names the parameter file
+    or another path.  Creates and truncates nothing."""
+    if os.path.isdir(paths[0]) or not os.access(
+            os.path.dirname(os.path.abspath(paths[0])), os.W_OK):
+        raise OSError("cannot write %s" % paths[0])
+    named = [os.path.realpath(params_file)] if params_file else []
+    for path in paths:
+        if os.path.realpath(path) in named:
+            raise UsageError("%s would overwrite a named file" % path)
+        named.append(os.path.realpath(path))
 
 
 def _add_common(sp):
@@ -166,10 +173,7 @@ def _cmd_sweep(args) -> int:
                      points=args.points, base=p, method=_METHOD[args.method],
                      cavity=args.cavity, axis_flip=args.flip_axis,
                      cutoff=args.cutoff)
-    _check_writable(args.out)
-    meta, named = _metadata_path(args.out), (args.out, args.params_file)
-    if os.path.realpath(meta) in [os.path.realpath(f) for f in named if f]:
-        raise UsageError("metadata %s would overwrite a named file" % meta)
+    _check_outputs(args.params_file, args.out, _metadata_path(args.out))
     write_csv(run_sweep(spec), args.out)
     print("wrote %s" % args.out)
     return 0
@@ -183,7 +187,7 @@ def _cmd_optimize(args) -> int:
                       *(args.starts or (default.n_delta, default.n_lambda)))
     thresh = None if args.keep_uncertified else 1e-2
     if args.out:
-        _check_writable(args.out)
+        _check_outputs(args.params_file, args.out)
     pairs = find_optimal_pairs(p, args.cavity, grid, g2_cutoff=args.cutoff,
                                oracle_threshold=thresh)
     text = pairs_to_json(pairs)

@@ -23,7 +23,8 @@ stacked step per iteration; each point keeps its own stopping rule and
 leaves the stack when it holds.  Each point's arithmetic is that of its
 one-point solve, whatever N is.  Memory is O(N d^2): a sweep feeds the stack
 in chunks of ``sweep.STACK_ENTRIES // d**2`` points.  ``steady_rho`` is the
-N = 1 case.
+N = 1 case, as ``check_density_matrix`` is of the check that the points
+finishing in one step take together, and ``g2_mode`` of ``g2_stack``.
 
 ``liouvillian`` builds the dense (d*d, d*d) superoperator, with density
 matrices vectorized row-major (numpy ravel order), so vec(A @ rho @ B) =
@@ -200,13 +201,10 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
             done |= (recent <= STALL_TOL) & (
                 recent >= history[:STALL_STEPS].max(axis=0))
         finished = np.flatnonzero(done)
-        for k in finished:
-            try:
-                check_density_matrix(image[k])
-            except UnphysicalStateError:
-                errors[live[k]] = "UnphysicalStateError"
-                continue
-            rho_out[live[k]], errors[live[k]] = image[k], ""
+        if len(finished):
+            valid = finished[_density_checks(image[finished])[1].all(axis=1)]
+            errors[live[finished]] = "UnphysicalStateError"
+            rho_out[live[valid]], errors[live[valid]] = image[valid], ""
         if len(finished) == len(live):
             break
         step = image - rho
@@ -250,17 +248,27 @@ def steady_rho(p: SystemParams, basis: FockBasis) -> np.ndarray:
     return rho[0]
 
 
+def _density_checks(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) trace deviation from 1, Hermiticity violation and least
+    eigenvalue of each state of an (N, d, d) stack, and whether each is
+    within TRACE_TOL, HERM_TOL and EIG_FLOOR (NaN is not)."""
+    rhos_h = rhos.conj().swapaxes(1, 2)
+    herm = 0.5 * (rhos + rhos_h)
+    herm[~np.isfinite(herm).all(axis=(1, 2))] = 0.0     # eigvalsh raises
+    m = np.stack([np.abs(rhos.trace(axis1=1, axis2=2) - 1.0),
+                  np.abs(rhos - rhos_h).max(axis=(1, 2)),
+                  np.linalg.eigvalsh(herm).min(axis=1)], axis=1)
+    return m, m * (1, 1, -1) <= (TRACE_TOL, HERM_TOL, -EIG_FLOOR)
+
+
 def check_density_matrix(rho: np.ndarray) -> None:
     """Raise UnphysicalStateError unless rho is a valid state."""
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise UnphysicalStateError("trace deviates from 1 by %g" % abs(tr - 1.0))
-    asym = np.max(np.abs(rho - rho.conj().T))
-    if asym > HERM_TOL:
-        raise UnphysicalStateError("Hermiticity violation %g" % asym)
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < EIG_FLOOR:
-        raise UnphysicalStateError("negative eigenvalue %g" % w.min())
+    m, within = _density_checks(rho[None])
+    if not within.all():
+        k = int(np.argmin(within[0]))           # the first failed check
+        raise UnphysicalStateError((
+            "trace deviates from 1 by %g", "Hermiticity violation %g",
+            "negative eigenvalue %g")[k] % m[0, k])
 
 
 def steady_state(liouv: np.ndarray) -> np.ndarray:
@@ -323,14 +331,24 @@ def evolve(liouv: np.ndarray, rho0: np.ndarray, t_final: float,
     return v.reshape(d, d)
 
 
+def g2_stack(rhos: np.ndarray, a: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g2, n, empty) of one mode at each state of an (N, d, d) stack:
+    g2 = <adag adag a a> / <adag a>**2, undefined where n <= 1e-30 (empty,
+    EmptyModeError).  n**2 is pow(), as Python's float ** rounds it."""
+    a_h = a.conj().T
+    n = ((a_h @ a) @ rhos).trace(axis1=1, axis2=2).real
+    two = ((a_h @ a_h @ a @ a) @ rhos).trace(axis1=1, axis2=2).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return two / np.float_power(n, 2), n, n <= 1e-30
+
+
 def g2_mode(rho: np.ndarray, a: np.ndarray) -> tuple[float, float]:
-    """(g2, n) of one mode: g2 = <adag adag a a> / <adag a>**2."""
-    n_op = a.conj().T @ a
-    n = float(np.real(np.trace(n_op @ rho)))
-    if n <= 1e-30:
-        raise EmptyModeError("mode occupation %g underflows" % n)
-    two = a.conj().T @ a.conj().T @ a @ a
-    return float(np.real(np.trace(two @ rho))) / n ** 2, n
+    """(g2, n) of one mode; see ``g2_stack``."""
+    g2, n, empty = g2_stack(rho[None], a)
+    if empty[0]:
+        raise EmptyModeError("mode occupation %g underflows" % n[0])
+    return float(g2[0]), float(n[0])
 
 
 def g2_from_rho(rho: np.ndarray, a1: np.ndarray, a2: np.ndarray

@@ -2,9 +2,12 @@
 
 Sweep axes are in the internal Hamiltonian convention; ``axis_flip``
 negates the emitted axis values for delta sweeps (the published figures
-plot the detuning with the opposite sign).  CSV rows carry sentinel
-strings ``err:<code>`` where a per-point solver failed; metadata lives in
-a sibling JSON file, never inline.
+plot the detuning with the opposite sign).  Each column is an array from
+the stacked solves and g2s, equal bit for bit to their one-point cases; the
+CSV is written from the columns, and Python touches each point only to
+assemble ``SweepResult.rows``.  Cells carry sentinel strings ``err:<code>``
+where a per-point solver failed; metadata lives in a sibling JSON file,
+never inline.
 """
 
 from __future__ import annotations
@@ -14,18 +17,18 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .amplitude import (AmplitudeState, UndefinedCorrelationError, g2_cavity,
-                        steady_amplitude_stack)
-# not called here; perfbench's tracer wraps it here by name
-from .amplitude import steady_amplitudes  # noqa: F401
-from .fock import FockBasis, two_mode_ops
-from .lindblad import EmptyModeError, g2_mode, steady_rho_stack
+from .amplitude import g2_cavity_stack, steady_amplitude_stack
 # not called here; perfbench's tracer wraps them here by name
-from .lindblad import liouvillian, steady_state  # noqa: F401
+from .amplitude import g2_cavity, steady_amplitudes  # noqa: F401
+from .fock import FockBasis, two_mode_ops
+from .lindblad import g2_stack, steady_rho_stack
+# not called here; perfbench's tracer wraps them here by name
+from .lindblad import g2_mode, liouvillian, steady_state  # noqa: F401
 from .model import SystemParams, strong_params, weak_params
 
 AXES = ("delta", "lambda", "J", "g")
@@ -71,47 +74,49 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    rows: list[dict]
+    # ROW_FIELDS -> one cell per point: a builtin float (its repr in CSVs,
+    # the shortest round-trip decimals) or a string
+    columns: dict
     metadata: dict
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        """One dict per point, keyed by ROW_FIELDS."""
+        return [dict(zip(ROW_FIELDS, cells))
+                for cells in zip(*(self.columns[k] for k in ROW_FIELDS))]
 
 
 def _amplitude_columns(spec: SweepSpec, values: np.ndarray,
-                       rows: list[dict]) -> None:
-    """g2_j_amp of every row from one stacked amplitude solve."""
-    cavities = (1, 2) if spec.cavity == "both" else (int(spec.cavity),)
+                       columns: dict) -> None:
+    """g2_j_amp of every point from one stacked amplitude solve."""
     amps = steady_amplitude_stack(spec.base,
                                   **{_AXIS_FIELD[spec.axis]: values})
-    for row, c in zip(rows, amps):
-        s = AmplitudeState(*c)
-        for cav in cavities:
-            key = "g2_%d_amp" % cav
-            try:
-                row[key] = g2_cavity(s, cav)
-            except UndefinedCorrelationError:
-                row[key] = "err:UndefinedCorrelationError"
+    for cav in (1, 2) if spec.cavity == "both" else (int(spec.cavity),):
+        g2, undefined = g2_cavity_stack(amps, cav)
+        columns["g2_%d_amp" % cav] = np.where(
+            undefined, "err:UndefinedCorrelationError", g2.astype(object))
 
 
 def _lindblad_columns(spec: SweepSpec, values: np.ndarray,
-                      rows: list[dict]) -> None:
-    """g2_j_me and n_j of every row, from stacked master-equation solves of
-    STACK_ENTRIES // d**2 points at a time."""
+                      columns: dict) -> None:
+    """g2_j_me and n_j of every point, from stacked master-equation solves
+    of STACK_ENTRIES // d**2 points at a time."""
     cavities = (1, 2) if spec.cavity == "both" else (int(spec.cavity),)
     basis = FockBasis(spec.cutoff, spec.cutoff)
     ops = two_mode_ops(basis)
     chunk = max(1, STACK_ENTRIES // basis.dim ** 2)
     for start in range(0, len(values), chunk):
+        part = slice(start, start + chunk)
         rhos, errors = steady_rho_stack(spec.base, basis, **{
-            _AXIS_FIELD[spec.axis]: values[start:start + chunk]})
-        for row, rho, error in zip(rows[start:start + chunk], rhos, errors):
-            if error:
-                row.update(dict.fromkeys(ROW_FIELDS[3:], "err:" + error))
-                continue
-            for cav in cavities:
-                keys = ("g2_%d_me" % cav, "n%d" % cav)
-                try:
-                    row[keys[0]], row[keys[1]] = g2_mode(rho, ops[cav - 1])
-                except EmptyModeError:
-                    row[keys[0]] = row[keys[1]] = "err:EmptyModeError"
+            _AXIS_FIELD[spec.axis]: values[part]})
+        for cav in cavities:
+            g2, n, empty = g2_stack(rhos, ops[cav - 1])
+            for key, x in (("g2_%d_me" % cav, g2), ("n%d" % cav, n)):
+                columns[key][part] = np.where(empty, "err:EmptyModeError",
+                                              x.astype(object))
+        failed = errors != ""
+        for key in ROW_FIELDS[3:]:          # a void state voids all four
+            columns[key][part][failed] = "err:" + errors[failed]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -119,28 +124,27 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     values = np.linspace(spec.range[0], spec.range[1], spec.points)
     t0 = time.perf_counter()
     flip = spec.axis_flip and spec.axis == "delta"
-    # builtin floats: round-trippable repr in CSVs
-    rows = [{"axis_value": -v if flip else v,
-             **dict.fromkeys(ROW_FIELDS[1:], "")} for v in values.tolist()]
+    columns = {"axis_value": (-values if flip else values).astype(object),
+               **{k: np.full(len(values), "", dtype=object)
+                  for k in ROW_FIELDS[1:]}}
     if spec.method != "lindblad":
-        _amplitude_columns(spec, values, rows)
+        _amplitude_columns(spec, values, columns)
     if spec.method != "amplitude":
-        _lindblad_columns(spec, values, rows)
+        _lindblad_columns(spec, values, columns)
     meta = {"params": spec.base.to_dict(),        # then the spec's fields
             **{k: v for k, v in vars(spec).items() if k != "base"},
             "range": list(spec.range), "code_version": __version__,
             "wall_time_s": time.perf_counter() - t0}
-    return SweepResult(rows=rows, metadata=meta)
+    return SweepResult(columns={k: c.tolist() for k, c in columns.items()},
+                       metadata=meta)
 
 
-def _write_rows(rows: list[dict], csv_path) -> None:
-    """CSV with a header row; floats in shortest round-trip decimals."""
+def _write_columns(columns: dict, csv_path) -> None:
+    """CSV with a header row; csv writes a builtin float as its repr."""
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(ROW_FIELDS)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v
-                        for v in (row[k] for k in ROW_FIELDS)])
+        w.writerows(zip(*(columns[k] for k in ROW_FIELDS)))
 
 
 def _metadata_path(csv_path) -> str:
@@ -150,7 +154,7 @@ def _metadata_path(csv_path) -> str:
 
 def write_csv(result: SweepResult, csv_path) -> None:
     """Rows as CSV; metadata to the sibling ``.json``."""
-    _write_rows(result.rows, csv_path)
+    _write_columns(result.columns, csv_path)
     with open(_metadata_path(csv_path), "w") as fh:
         json.dump(result.metadata, fh, indent=2)
 
@@ -218,7 +222,7 @@ def figure_dataset(figure_id: str, outdir, points: int = 401,
         os.makedirs(outdir, exist_ok=True)      # after the first spec check
         name = "fig%s_curve%d_%s_%s.csv" % (figure_id, i, fld, repr(val))
         written.append(os.path.join(outdir, name))
-        _write_rows(run_sweep(spec).rows, written[-1])
+        _write_columns(run_sweep(spec).columns, written[-1])
         curve_meta.append({"file": name, "varied": fld, "value": val,
                            "params": base.to_dict()})
     meta = {"figure": figure_id, "axis": axis, "emitted_range": [lo, hi],

@@ -11,6 +11,8 @@ from blockade.amplitude import (AmplitudeState, UndefinedCorrelationError,
                                 subspace_block)
 from blockade.fock import FockBasis
 from blockade.model import SystemParams, non_hermitian_hamiltonian, weak_params
+from blockade.optimize import SearchGrid, find_optimal_pairs
+from blockade.sweep import SweepSpec, run_sweep
 
 def _weak_opt_internal():
     # internal-axis parameters of the published cavity-1 optimum
@@ -60,8 +62,18 @@ def test_requires_positive_drive():
 
 
 def test_weak_driving_warning():
-    with pytest.warns(WeakDrivingWarning):
-        steady_amplitudes(weak_params(drive_E=0.5 * 0.002))
+    strong = weak_params(drive_E=0.5 * 0.002)
+    # each entry point's warning names the caller's line, not the package's
+    for call in (lambda: steady_amplitudes(strong),
+                 lambda: run_sweep(SweepSpec(axis="delta", range=(0.0, 1e-3),
+                                             points=2, base=strong,
+                                             method="amplitude")),
+                 lambda: find_optimal_pairs(strong, 1, SearchGrid(
+                     (-0.01, 0.01), (-5e-6, 5e-6), 4, 4),
+                     oracle_threshold=None)):
+        with pytest.warns(WeakDrivingWarning) as record:
+            call()
+        assert record[0].filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         steady_amplitudes(weak_params())    # E = 0.02*kappa: silent

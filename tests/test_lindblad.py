@@ -325,6 +325,20 @@ def test_check_density_matrix_raises():
     neg = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(UnphysicalStateError, match="eigenvalue"):
         check_density_matrix(neg)
+    # non-finite entries fail too; eigvalsh would raise LinAlgError on them
+    nan = np.diag([np.nan, 0.5, 0.5]).astype(complex)
+    for rho in (nan, np.full((3, 3), np.nan, dtype=complex)):
+        with pytest.raises(UnphysicalStateError, match="trace"):
+            check_density_matrix(rho)
+    off = np.eye(3, dtype=complex) / 3
+    off[0, 2] = np.nan
+    with pytest.raises(UnphysicalStateError, match="Hermiticity"):
+        check_density_matrix(off)
+    # stacked, the NaN state is flagged and no other
+    stack = np.array([np.eye(3) / 3, nan, np.diag([0.5, 0.5, 0.0])],
+                     dtype=complex)
+    assert blockade.lindblad._density_checks(stack)[1].all(axis=1).tolist() \
+        == [True, False, True]
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4])
@@ -390,21 +404,21 @@ def test_steady_rho_stack_flags_failures_per_point(monkeypatch):
     want = [steady_rho(base.replace(delta=float(x)), basis) for x in deltas]
     bad = non_hermitian_hamiltonian(base.replace(delta=float(deltas[1])),
                                     basis)
-    eig, check = np.linalg.eig, blockade.lindblad.check_density_matrix
+    eig, checks = np.linalg.eig, blockade.lindblad._density_checks
 
     def failing_eig(a):
         if (a[..., 1, 1] == bad[1, 1]).any():
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eig(a)
 
-    def failing_check(rho):
-        if np.allclose(rho, want[3], rtol=0, atol=1e-12):
-            raise UnphysicalStateError("negative eigenvalue")
-        check(rho)
+    def failing_checks(rhos):
+        measures, within = checks(rhos)
+        within[[np.allclose(rho, want[3], rtol=0, atol=1e-12)
+                for rho in rhos], 2] = False      # a negative eigenvalue
+        return measures, within
 
     monkeypatch.setattr(np.linalg, "eig", failing_eig)
-    monkeypatch.setattr(blockade.lindblad, "check_density_matrix",
-                        failing_check)
+    monkeypatch.setattr(blockade.lindblad, "_density_checks", failing_checks)
     rhos, errors = steady_rho_stack(base, basis, delta=deltas)
     assert list(errors) == ["", "SingularLiouvillianError", "",
                             "UnphysicalStateError"]

@@ -6,12 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from blockade.amplitude import WeakDrivingWarning, g2_cavity, \
-    steady_amplitudes
+from blockade.amplitude import UndefinedCorrelationError, \
+    WeakDrivingWarning, g2_cavity, steady_amplitudes
 import blockade.cli
 import blockade.optimize
 from blockade.cli import build_parser, cli_main
-from blockade.lindblad import steady_g2
+from blockade.fock import FockBasis, two_mode_ops
+from blockade.lindblad import EmptyModeError, g2_mode, steady_g2, steady_rho
 from blockade.sweep import (FIGURE_IDS, ROW_FIELDS, SweepSpec, figure_dataset,
                             run_sweep, write_csv)
 from blockade.model import strong_params, weak_params
@@ -99,6 +100,57 @@ def test_sentinel_rows_for_per_point_failures():
         assert isinstance(row["g2_1_amp"], float)
         assert isinstance(row["g2_1_me"], float)
         assert np.isfinite(row["g2_1_amp"]) and np.isfinite(row["g2_1_me"])
+
+
+def _value_or_error(fun, *args):
+    try:
+        return fun(*args)
+    except (UndefinedCorrelationError, EmptyModeError) as exc:
+        return "err:" + type(exc).__name__
+
+
+def _scalar_g2_amp(s, cav):
+    # the per-point arithmetic in Python scalars: abs(complex) and float **
+    two, one = (s.c20, s.c10) if cav == 1 else (s.c02, s.c01)
+    if one == 0:
+        return "err:UndefinedCorrelationError"
+    return 2.0 * abs(complex(two)) ** 2 / abs(complex(one)) ** 4
+
+
+def _scalar_g2_me(rho, a):
+    a_h = a.conj().T
+    n = float(np.trace(a_h @ a @ rho).real)
+    if n <= 1e-30:
+        return "err:EmptyModeError"
+    return float(np.trace(a_h @ a_h @ a @ a @ rho).real) / n ** 2, n
+
+
+@pytest.mark.parametrize("base", [
+    # J = 0 leaves cavity 2 without one-photon amplitude, and without gain
+    # without photons: sentinels in the amplitude and master-equation columns
+    weak_params(delta=1e-3, lambda_gain=0.0),
+    weak_params(delta=-2e-3, lambda_gain=0.93e-6, theta=0.3),
+])
+def test_sweep_columns_equal_the_one_point_functions(base):
+    # bit for bit, against the one-point functions and the same arithmetic
+    # in Python scalars: hypot and pow() round as abs(complex) and float **
+    spec = SweepSpec(axis="J", range=(0.0, 0.004), points=41, base=base,
+                     method="both", cavity="both")
+    ops = two_mode_ops(FockBasis(3, 3))
+    rows = run_sweep(spec).rows
+    assert "err:" in rows[0]["g2_2_amp"]
+    for row, v in zip(rows, np.linspace(0.0, 0.004, 41).tolist()):
+        p = base.replace(hop_J=v)
+        amps, rho = steady_amplitudes(p), steady_rho(p, FockBasis(3, 3))
+        for cav in (1, 2):
+            want = _scalar_g2_amp(amps, cav)
+            assert row["g2_%d_amp" % cav] == want
+            assert _value_or_error(g2_cavity, amps, cav) == want
+            want = _scalar_g2_me(rho, ops[cav - 1])
+            assert _value_or_error(g2_mode, rho, ops[cav - 1]) == want
+            if isinstance(want, str):
+                want = (want, want)
+            assert (row["g2_%d_me" % cav], row["n%d" % cav]) == want
 
 
 def test_metadata_fields():
@@ -299,16 +351,26 @@ def test_cli_unwritable_out_exits_1(argv, tmp_path, capsys, no_search):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("out, params_file", [
-    ("data.json", None),                # the metadata would replace the CSV
-    ("run.csv", os.path.join(".", "run.json")),     # ... or the input file
+_SWEEP = ["sweep", "--range", "-0.01", "0.01"]
+
+
+@pytest.mark.parametrize("argv, out, params_file", [
+    # the metadata would replace the CSV, or the input file
+    pytest.param(_SWEEP, "data.json", None, id="data.json-None"),
+    pytest.param(_SWEEP, "run.csv", os.path.join(".", "run.json"),
+                 id="run.csv-" + os.path.join(".", "run.json")),
+    # --out itself would replace the input file
+    pytest.param(_SWEEP, "run.csv", os.path.join(".", "run.csv"),
+                 id="sweep-out-is-params"),
+    pytest.param(["optimize", "--starts", "4", "4"], "q.json",
+                 os.path.join(".", "q.json"), id="optimize-out-is-params"),
 ])
-def test_cli_metadata_over_a_named_file_exits_1(out, params_file, tmp_path,
-                                                capsys, no_search):
-    argv = ["sweep", "--range", "-0.01", "0.01", "--out", str(tmp_path / out)]
+def test_cli_metadata_over_a_named_file_exits_1(argv, out, params_file,
+                                                tmp_path, capsys, no_search):
+    argv = argv + ["--out", str(tmp_path / out)]
     if params_file:
         (tmp_path / params_file).write_text(json.dumps({"kappa": 0.002}))
-        # another spelling of the path that the metadata file would take
+        # another spelling of the path that an output would take
         argv += ["--params-file", str(tmp_path) + os.sep + params_file]
     else:
         (tmp_path / out).write_text("a,b\n")
