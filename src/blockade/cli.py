@@ -126,9 +126,10 @@ def build_parser() -> _Parser:
     _add_common(op)
     op.set_defaults(cutoff=4)       # oracle certification runs at cutoff 4
     op.add_argument("--cavity", type=int, choices=(1, 2), default=1)
-    op.add_argument("--delta-range", nargs=2, type=float, metavar=("LO", "HI"))
+    op.add_argument("--delta-range", nargs=2, type=float, metavar=("LO", "HI"),
+                    help="default: the --preset box, else STRONG_GRID's")
     op.add_argument("--lambda-range", nargs=2, type=float,
-                    metavar=("LO", "HI"))
+                    metavar=("LO", "HI"), help="as --delta-range")
     op.add_argument("--starts", nargs=2, type=int, default=None,
                     metavar=("N_DELTA", "N_LAMBDA"))
     op.add_argument("--keep-uncertified", action="store_true",

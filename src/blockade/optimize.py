@@ -8,10 +8,11 @@ residual is the conjugated solve-path two-photon amplitude there, which
 equals the printed closed-form coefficient at delta.
 
 Newton runs from every start of a SearchGrid in lockstep: per iteration,
-one stacked residual call takes the Jacobian stencils of all active starts
-and one takes each start's whole step-halving ladder, of which the first
-point that lowers the residual norm is kept.  Each start follows its lone
-path bit for bit; ladder points past the kept one are wasted work.
+stacked residual calls take the Jacobian stencils and full steps of all
+active starts, then the step-halving ladders of those whose full step does
+not lower the residual norm.  A start follows its lone path bit for bit and
+is dropped once it leaves the grid box widened by BOX_PAD (most would run to
+a root at infinity, |delta| ~ 1e5).
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ NEWTON_FD_STEP = 1e-9
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 20
 DEDUPE_DIST = 1e-8
-# a root counts if inside the search box widened by this share of its extent
+# the search stays inside the grid box widened by this share of its extent
 BOX_PAD = 0.1
 CPB_PROXIMITY_KAPPAS = 5.0
+# a 1000 x 100 grid: the lockstep stacks peak near 420 MB, the search ~12 s
+MAX_STARTS = 100_000
 # the stencil offsets dx_i (row i) and the ladder scales 1, 1/2, 1/4, ...
 _FD = NEWTON_FD_STEP * np.eye(2)
 _LADDER = np.ldexp(1.0, -np.arange(NEWTON_MAX_HALVINGS))
@@ -54,8 +57,10 @@ class SearchGrid:
             raise ValueError("delta_range must satisfy lo < hi")
         if self.lambda_range[0] >= self.lambda_range[1]:
             raise ValueError("lambda_range must satisfy lo < hi")
-        if self.n_delta < 4 or self.n_lambda < 4:
-            raise ValueError("start counts must be >= 4")
+        if (min(self.n_delta, self.n_lambda) < 4
+                or self.n_delta * self.n_lambda > MAX_STARTS):
+            raise ValueError("start counts must be >= 4 with at most %d "
+                             "starts" % MAX_STARTS)
 
     def starts(self) -> np.ndarray:
         dd = np.linspace(*self.delta_range, self.n_delta)
@@ -109,7 +114,8 @@ def _evaluate(fun, x: np.ndarray) -> np.ndarray:
     """fun at the finite points (last axis) of x; NaN rows at the others."""
     ok = np.isfinite(x).all(axis=-1)
     f = np.full(x.shape, np.nan)
-    f[ok] = fun(x[ok])
+    if ok.any():
+        f[ok] = fun(x[ok])
     return f
 
 
@@ -131,13 +137,14 @@ def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
                                _newton_steps(jac[h:], f[h:])])
 
 
-def _newton_paths(fun, starts: np.ndarray, tol: float) -> np.ndarray:
+def _newton_paths(fun, starts: np.ndarray, box, tol: float) -> np.ndarray:
     """End points of damped Newton from each row of starts, in lockstep.
 
-    fun maps (N, 2) points to (N, 2) residuals.  A start ends on a NaN row
-    if its Jacobian is singular, if no ladder point lowers the norm, or if
-    the norm is above tol after NEWTON_MAX_ITER steps.  A NaN residual (as
-    at non-finite points) never lowers the norm: live iterates stay finite.
+    fun maps (N, 2) points to (N, 2) residuals; box holds the (lo, hi) of
+    delta and of lambda as rows.  A start ends on a NaN row if an accepted
+    iterate leaves box, if its Jacobian is singular, if no ladder point
+    lowers the norm, or if the norm is above tol after NEWTON_MAX_ITER steps.
+    A NaN residual (as at non-finite points) never lowers the norm.
     """
     x = np.array(starts, dtype=float)
     f = _evaluate(fun, x)
@@ -153,12 +160,16 @@ def _newton_paths(fun, starts: np.ndarray, tol: float) -> np.ndarray:
         jac = (fd[:, :2] - fd[:, 2:]) / (2 * NEWTON_FD_STEP)
         step = _newton_steps(jac.transpose(0, 2, 1), fa)
         ladder = xa[:, None] + _LADDER[:, None] * step[:, None]
-        fl = _evaluate(fun, ladder)
+        fl = np.full(ladder.shape, np.nan)
+        fl[:, 0] = _evaluate(fun, ladder[:, 0])
+        short = ~(_norms(fl[:, 0]) < _norms(fa))        # halve only these
+        fl[short, 1:] = _evaluate(fun, ladder[short, 1:])
         better = _norms(fl) < _norms(fa)[:, None]
         k = better.argmax(axis=1)                       # the first improving
-        live[act] = better.any(axis=1)
         rows = np.arange(len(act))
         x[act], f[act] = ladder[rows, k], fl[rows, k]
+        live[act] = better.any(axis=1) & (
+            (box[:, 0] <= x[act]) & (x[act] <= box[:, 1])).all(axis=1)
     return np.where((live & (_norms(f) <= tol))[:, None], x, np.nan)
 
 
@@ -169,8 +180,8 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
     """All distinct antibunching roots reachable from the grid starts.
 
     Newton runs from all starts in lockstep on ``target_residual_stack``
-    (see the module docstring).  Its roots inside the grid box widened by
-    BOX_PAD on each side are deduplicated in start order and sorted by
+    inside the grid box widened by BOX_PAD on each side (see the module
+    docstring).  Its roots are deduplicated in start order and sorted by
     delta; each then takes one ``target_residual`` call for its residual
     and one ``steady_g2`` call for the master-equation g2 of the target
     cavity, and is classified.
@@ -192,15 +203,12 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
         return []
     tol = 1e-10 * p.drive_E ** 2
 
-    ends = _newton_paths(lambda x: target_residual_stack(x, p, cavity),
-                         grid.starts(), tol)
     box = np.array([grid.delta_range, grid.lambda_range])  # (lo, hi) rows
-    pad = BOX_PAD * (box[:, 1] - box[:, 0])
-    # false on the NaN rows of dropped starts
-    inside = ((box[:, 0] - pad <= ends)
-              & (ends <= box[:, 1] + pad)).all(axis=1)
+    box = box + BOX_PAD * np.diff(box) * [-1, 1]
+    ends = _newton_paths(lambda x: target_residual_stack(x, p, cavity),
+                         grid.starts(), box, tol)
     roots: list[np.ndarray] = []
-    for x in ends[inside]:
+    for x in ends[~np.isnan(ends[:, 0])]:
         if all(np.linalg.norm(x - r) >= DEDUPE_DIST for r in roots):
             roots.append(x)
 

@@ -6,9 +6,10 @@ import pytest
 import blockade.optimize
 from blockade.amplitude import lambda_gamma
 from blockade.model import SystemParams, strong_params, weak_params
-from blockade.optimize import (NEWTON_FD_STEP, NEWTON_MAX_HALVINGS,
-                               NEWTON_MAX_ITER, STRONG_GRID, WEAK_GRID,
-                               OptimalPair, SearchGrid, _newton_paths, _norms,
+from blockade.optimize import (BOX_PAD, MAX_STARTS, NEWTON_FD_STEP,
+                               NEWTON_MAX_HALVINGS, NEWTON_MAX_ITER,
+                               STRONG_GRID, WEAK_GRID, OptimalPair,
+                               SearchGrid, _newton_paths, _norms,
                                classify_mechanism, find_optimal_pairs,
                                pairs_to_json, target_residual,
                                target_residual_stack)
@@ -27,6 +28,15 @@ def test_search_grid_validation():
         SearchGrid((-0.01, 0.01), (-5e-6, 5e-6), n_delta=2)
     g = SearchGrid((-1.0, 1.0), (-1.0, 1.0), 4, 5)
     assert g.starts().shape == (20, 2)
+
+
+def test_search_grid_rejects_oversized_start_counts():
+    # the bound sits on the product: the lockstep stacks grow with it
+    SearchGrid((-0.01, 0.01), (-5e-6, 5e-6), MAX_STARTS // 100, 100)
+    for counts in ((MAX_STARTS // 4 + 1, 4), (4, MAX_STARTS // 4 + 1),
+                   (4, 10 ** 8), (10 ** 5, 10 ** 5)):
+        with pytest.raises(ValueError, match="at most %d starts" % MAX_STARTS):
+            SearchGrid((-0.01, 0.01), (-5e-6, 5e-6), *counts)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -86,17 +96,28 @@ def test_residual_stack_equals_target_residual(preset, cavity):
         assert norm == np.linalg.norm(row)      # as _newton_paths compares
 
 
+def _padded_box(grid):
+    """The (lo, hi) rows of the grid box widened by BOX_PAD on each side."""
+    box = np.array([grid.delta_range, grid.lambda_range])
+    return box + BOX_PAD * np.diff(box) * [-1, 1]
+
+
+def _inside(x, box):
+    return ((box[:, 0] <= x) & (x <= box[:, 1])).all(axis=-1)
+
+
 def _search(preset, n_delta, n_lambda):
-    """The residual, starts and tolerance of find_optimal_pairs, cavity 1."""
+    """The residual, starts, box and tolerance of find_optimal_pairs,
+    cavity 1."""
     p = preset()
     grid = WEAK_GRID if preset is weak_params else STRONG_GRID
     starts = SearchGrid(grid.delta_range, grid.lambda_range,
                         n_delta, n_lambda).starts()
     return (lambda x: target_residual_stack(x, p, 1)), starts, \
-        1e-10 * p.drive_E ** 2
+        _padded_box(grid), 1e-10 * p.drive_E ** 2
 
 
-def _lone_newton(fun, x, tol):
+def _lone_newton(fun, x, box, tol):
     """Damped Newton from one start, one point at a time: the reference
     path of ``_newton_paths``.  None where a start is dropped."""
     def res(y):         # NaN at non-finite points, as _newton_paths has it
@@ -122,6 +143,8 @@ def _lone_newton(fun, x, tol):
             else:
                 return None
             x, f = x + scale * step, f_new
+            if not _inside(x, box):
+                return None
         return x if np.linalg.norm(f) <= tol else None
     except np.linalg.LinAlgError:
         return None
@@ -130,10 +153,10 @@ def _lone_newton(fun, x, tol):
 @pytest.mark.parametrize("preset, n_delta", [(weak_params, 4),
                                              (strong_params, 6)])
 def test_lockstep_paths_equal_lone_newton(preset, n_delta):
-    fun, starts, tol = _search(preset, n_delta, 4)
-    paths = _newton_paths(fun, starts, tol)
+    fun, starts, box, tol = _search(preset, n_delta, 4)
+    paths = _newton_paths(fun, starts, box, tol)
     for x0, end in zip(starts, paths):
-        ref = _lone_newton(fun, x0, tol)
+        ref = _lone_newton(fun, x0, box, tol)
         if ref is None:
             assert np.isnan(end).all()
         else:
@@ -142,32 +165,34 @@ def test_lockstep_paths_equal_lone_newton(preset, n_delta):
 
 def test_lockstep_starts_are_independent():
     # each start's path must not depend on which starts share its batch
-    fun, starts, tol = _search(strong_params, 6, 4)
-    full = _newton_paths(fun, starts, tol)
+    fun, starts, box, tol = _search(strong_params, 6, 4)
+    full = _newton_paths(fun, starts, box, tol)
     order = np.random.default_rng(5).permutation(len(starts))
     for batch in np.array_split(order, 5):
-        np.testing.assert_array_equal(_newton_paths(fun, starts[batch], tol),
-                                      full[batch])
+        np.testing.assert_array_equal(
+            _newton_paths(fun, starts[batch], box, tol), full[batch])
 
 
-def _first_points(fun, start, tol):
-    """What a lone start evaluates up to its first ladder: the start, its
-    stencil points and its ladder points."""
+def _first_points(fun, start, box, tol):
+    """A lone start's first points: the start, its stencil points and its
+    whole halving ladder.  The recording fails the full step, so the other
+    scales follow in a second call."""
     calls = []
 
     def recording(x):
         calls.append(x.copy())
-        return fun(x)
+        return fun(x) if len(calls) != 3 else np.full(x.shape, np.nan)
 
-    _newton_paths(recording, start[None], tol)
-    return calls[:3]
+    _newton_paths(recording, start[None], box, tol)
+    assert [len(c) for c in calls[:4]] == [1, 4, 1, NEWTON_MAX_HALVINGS - 1]
+    return calls[0], calls[1], np.concatenate(calls[2:4])
 
 
 @pytest.mark.filterwarnings("error")
 def test_singular_point_on_a_path_drops_only_its_start(monkeypatch):
-    fun, starts, tol = _search(weak_params, 4, 4)
-    free = _newton_paths(fun, starts, tol)
-    (x0,), stencil, ladder = _first_points(fun, starts[4], tol)
+    fun, starts, box, tol = _search(weak_params, 4, 4)
+    free = _newton_paths(fun, starts, box, tol)
+    (x0,), stencil, ladder = _first_points(fun, starts[4], box, tol)
     norm0 = np.linalg.norm(fun(x0[None])[0])
     kept = next(k for k, f in enumerate(fun(ladder))
                 if np.linalg.norm(f) < norm0)
@@ -176,6 +201,7 @@ def test_singular_point_on_a_path_drops_only_its_start(monkeypatch):
     # ladder point (the start goes on from the next improving one, as a
     # lone start does), the ladder points past it (which a lone start never
     # evaluates, so nothing changes)
+    assert kept < NEWTON_MAX_HALVINGS - 1
     for at_nan, moved in ((stencil[2:3], "dropped"),
                           (ladder[kept:kept + 1], "lone"),
                           (ladder[kept + 1:], "unchanged")):
@@ -188,13 +214,13 @@ def test_singular_point_on_a_path_drops_only_its_start(monkeypatch):
 
         monkeypatch.setattr(blockade.optimize, "steady_amplitude_stack",
                             nan_there)
-        paths = _newton_paths(fun, starts, tol)
+        paths = _newton_paths(fun, starts, box, tol)
         others = np.arange(len(starts)) != 4
         np.testing.assert_array_equal(paths[others], free[others])
         if moved == "dropped":
             assert np.isnan(paths[4]).all()
         elif moved == "lone":
-            ref = _lone_newton(fun, starts[4], tol)
+            ref = _lone_newton(fun, starts[4], box, tol)
             assert paths[4].tobytes() == ref.tobytes()
             assert paths[4].tobytes() != free[4].tobytes()
         else:
@@ -206,16 +232,33 @@ def test_singular_jacobian_drops_its_start():
     def parabola(x):
         return np.column_stack([x[:, 0] ** 2 - 1.0, x[:, 1]])
 
-    paths = _newton_paths(parabola, np.array([[0.0, 0.2], [2.0, 0.5],
-                                              [-0.5, 0.1]]), 1e-12)
+    starts = np.array([[0.0, 0.2], [2.0, 0.5], [-0.5, 0.1]])
+    paths = _newton_paths(parabola, starts, np.array([[-3, 3], [-1, 1]]),
+                          1e-12)
     assert np.isnan(paths[0]).all()
     np.testing.assert_allclose(paths[1:], [[1, 0], [-1, 0]], atol=1e-12)
 
 
+def test_path_leaving_the_box_drops_its_start():
+    # the first step from x0 = -0.5 lands at x0 = -1.25, outside the box:
+    # the start is dropped there, though its path goes on to x0 = -1
+    def parabola(x):
+        return np.column_stack([x[:, 0] ** 2 - 1.0, x[:, 1]])
+
+    starts = np.array([[2.0, 0.5], [-0.5, 0.1]])
+    free = _newton_paths(parabola, starts, np.array([[-3, 3], [-1, 1]]),
+                         1e-12)
+    np.testing.assert_allclose(free, [[1, 0], [-1, 0]], atol=1e-12)
+    paths = _newton_paths(parabola, starts, np.array([[-1.2, 3], [-1, 1]]),
+                          1e-12)
+    assert paths[0].tobytes() == free[0].tobytes()
+    assert np.isnan(paths[1]).all()
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_iterate_drops_its_start(monkeypatch):
-    fun, starts, tol = _search(weak_params, 4, 4)
-    free = _newton_paths(fun, starts, tol)
+    fun, starts, box, tol = _search(weak_params, 4, 4)
+    free = _newton_paths(fun, starts, box, tol)
     assert np.isfinite(free[4]).all()       # the start of the weak root
     stack = blockade.optimize.steady_amplitude_stack
 
@@ -230,7 +273,7 @@ def test_non_finite_iterate_drops_its_start(monkeypatch):
 
     monkeypatch.setattr(blockade.optimize, "steady_amplitude_stack",
                         overflowing)
-    paths = _newton_paths(fun, starts, tol)
+    paths = _newton_paths(fun, starts, box, tol)
     assert np.isnan(paths[4]).all()
     others = np.arange(len(starts)) != 4
     np.testing.assert_array_equal(paths[others], free[others])
@@ -292,6 +335,87 @@ def test_grid_refinement_stable():
         dist = min(np.hypot(q.delta_opt - r.delta_opt,
                             q.lambda_opt - r.lambda_opt) for r in fine_roots)
         assert dist < 1e-8
+
+
+# Every root of the shipped searches before the box exit and the lazy
+# ladder, (delta, lambda) on the reporting axis, in the order returned.
+SHIPPED_ROOTS = {
+    (weak_params, 1): [(-7.279568965480264e-05, 9.27452168605352e-07),
+                       (0.00151162109051673, -1.1986973896279644e-07),
+                       (0.003272836361529892, 1.4699739114813168e-06)],
+    (weak_params, 2): [(-0.0007432139267407497, 3.260195588159094e-07),
+                       (0.002086546314307303, -7.887751752288261e-07),
+                       (0.004679667315568667, 3.971612922330554e-07)],
+    (strong_params, 1): [(0.023993804331596272, 1.0839439465776668e-06),
+                         (0.03997539799955323, -7.896841754058833e-07),
+                         (0.056006516296004956, 1.464288642820695e-06),
+                         (0.08047790959018494, -1.2175249796222908e-07),
+                         (0.08232196720899329, -2.1854541692827382e-08)],
+    (strong_params, 2): [(0.023916430137933493, 5.078160291359158e-07),
+                         (0.040024821993646674, -7.96896746485162e-07),
+                         (0.05632658770150581, 1.182557737581986e-07),
+                         (0.059697618565538825, 7.802846351769398e-09),
+                         (0.08003454160137516, 1.520946912166346e-07)],
+}
+
+
+@pytest.mark.parametrize("preset, cavity", list(SHIPPED_ROOTS))
+def test_shipped_searches_keep_their_roots(preset, cavity):
+    grid = WEAK_GRID if preset is weak_params else STRONG_GRID
+    pairs = find_optimal_pairs(preset(), cavity, grid, oracle_threshold=None)
+    roots = SHIPPED_ROOTS[preset, cavity]
+    assert len(pairs) == len(roots)
+    for q, (delta, lam) in zip(pairs, roots):
+        assert q.delta_opt == pytest.approx(delta, rel=1e-12, abs=0)
+        assert q.lambda_opt == pytest.approx(lam, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("preset, grid", [(weak_params, WEAK_GRID),
+                                          (strong_params, STRONG_GRID)])
+def test_stencils_centre_on_iterates_in_the_padded_box(monkeypatch, preset,
+                                                       grid):
+    calls = []
+
+    def recording(x, p, cavity):
+        calls.append((x.copy(), target_residual_stack(x, p, cavity)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(blockade.optimize, "target_residual_stack",
+                        recording)
+    find_optimal_pairs(preset(), 1, grid, oracle_threshold=None)
+    box = _padded_box(grid)
+    starts, f_starts = calls[0]
+    norm = dict(zip(map(bytes, starts), _norms(f_starts)))
+    i = 1
+    while i < len(calls):
+        stencil, _ = calls[i]
+        # rows x + dx_0, x + dx_1, x - dx_0, x - dx_1: x + dx_i keeps the
+        # other coordinate of x exactly
+        pts = stencil.reshape(-1, 4, 2)
+        centre = np.column_stack([pts[:, 1, 0], pts[:, 0, 1]])
+        dx = NEWTON_FD_STEP * np.eye(2)
+        np.testing.assert_array_equal(
+            pts, centre[:, None] + np.concatenate([dx, -dx]))
+        assert _inside(centre, box).all()
+        # an iterate: a start or an accepted ladder point
+        norm0 = np.array([norm[bytes(x)] for x in centre])
+        full, f_full = calls[i + 1]
+        assert len(full) == len(centre)
+        short = ~(_norms(f_full) < norm0)
+        ladder = np.repeat(full[:, None], NEWTON_MAX_HALVINGS, axis=1)
+        f_ladder = np.repeat(f_full[:, None], NEWTON_MAX_HALVINGS, axis=1)
+        i += 2
+        if short.any():         # the other scales of the failed steps only
+            rest, f_rest = calls[i]
+            shape = (short.sum(), NEWTON_MAX_HALVINGS - 1, 2)
+            ladder[short, 1:] = rest.reshape(shape)
+            f_ladder[short, 1:] = f_rest.reshape(shape)
+            i += 1
+        better = _norms(f_ladder) < norm0[:, None]
+        for row, f, ok in zip(ladder, f_ladder, better):
+            if ok.any():
+                k = ok.argmax()
+                norm[bytes(row[k])] = _norms(f[k])
 
 
 def test_classify_mechanism_rules():

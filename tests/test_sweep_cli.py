@@ -273,6 +273,7 @@ def test_no_search_fires_on_valid_runs(argv, tmp_path, no_search):
     ["params", "--params-file", {"delta": None}],
     ["params", "--params-file", {"kappa": [0.002]}],
     ["g2", "--params-file", {"hop_J": {"value": 0.0019}}],
+    ["optimize", "--preset", "weak", "--starts", "4", "25001"],   # > 1e5
 ])
 def test_cli_configuration_errors_exit_1(argv, tmp_path, capsys, no_search):
     # a dict stands for a parameter file with that content
