@@ -16,15 +16,26 @@ next (quantum trajectories: Dalibard, Castin & Molmer, PRL 68, 580 (1992);
 Plenio & Knight, RMP 70, 101 (1998)).  It is iterated as a defect
 correction, rho <- rho - S^-1 R with the residual R = S(rho) + kappa J(rho)
 formed in the Fock basis, which is the same map but keeps the relative
-precision of small Fock populations.  Every step is the same few matrix
-products at every point, so a whole stack of N points (one H_nh each, the
-swept rates given as arrays) runs as one stacked eig and inv and one
-stacked step per iteration; each point keeps its own stopping rule and
-leaves the stack when it holds.  Each point's arithmetic is that of its
-one-point solve, whatever N is.  Memory is O(N d^2): a sweep feeds the stack
-in chunks of ``sweep.STACK_ENTRIES // d**2`` points.  ``steady_rho`` is the
-N = 1 case, as ``check_density_matrix`` is of the check that the points
-finishing in one step take together, and ``g2_mode`` of ``g2_stack``.
+precision of small Fock populations.  The least-damped eigenstate of H_nh
+gets no correction where its decay rate is below DARK_TOL kappa: near the
+dark vacuum (drive off or barely on, gain on) the division by D_ii would
+amplify rounding by up to 1e12, and the trace normalization sets that
+weight exactly, as the trace row does in the dense solve.  A point stops
+when its moments stop changing, or at their rounding floor, read from the
+changes over the last four steps; it is kept only if the residual of its
+last iterate, max|R| / (kappa (n_1 + n_2)), is at most RESIDUAL_GATE, and
+is flagged SteadyStateResidualError otherwise.
+
+Every step is the same few matrix products at every point, so a whole
+stack of N points (one H_nh each, the swept rates given as arrays) runs as
+one stacked eig and inv and one stacked step per iteration; each point
+keeps its own stopping rule and leaves the stack when it holds.  Each
+point's arithmetic is that of its one-point solve, whatever N is.  Memory
+is O(N d^2): a sweep feeds the stack in chunks of
+``sweep.STACK_ENTRIES // d**2`` points.  ``steady_rho`` is the N = 1 case,
+as ``check_density_matrix`` is of the check that the points finishing in
+one step take together, and ``g2_mode`` of ``g2_stack``, which reads both
+moments from diag(rho).
 
 ``liouvillian`` builds the dense (d*d, d*d) superoperator, with density
 matrices vectorized row-major (numpy ravel order), so vec(A @ rho @ B) =
@@ -52,13 +63,22 @@ EIG_FLOOR = -1e-8
 # <a_j^dag^2 a_j^2> by more than MOMENT_TOL relative, or at the rounding
 # floor of the smallest moment: when the largest such change over the last
 # STALL_STEPS steps is at most STALL_TOL and no smaller than over the
-# STALL_STEPS before (the mixing step makes single changes non-monotone).
+# STALL_STEPS before, a window of 4 steps (the mixing step makes single
+# changes non-monotone, and the test never fires while they still fall).
 # A moment below MOMENT_FLOOR counts by its change relative to MOMENT_FLOOR:
 # a mode that the dynamics leaves empty carries rounding noise, not a value.
+# A point that stops is kept only if its last residual R, scaled as
+# max|R| / (kappa (n_1 + n_2)), is at most RESIDUAL_GATE: a stop in rounding
+# noise away from the fixed point is flagged, not returned.
+# An eigenstate of H_nh whose decay rate |Im lam| is below DARK_TOL kappa (the
+# dressed vacuum of an undriven or barely driven point) gets no correction:
+# the trace normalization sets its weight.
 MOMENT_TOL = 1e-14
 STALL_TOL = 1e-9
-STALL_STEPS = 8
+STALL_STEPS = 2
 MOMENT_FLOOR = 1e-20
+RESIDUAL_GATE = 1e-6
+DARK_TOL = 1e-8
 MAX_ITERATIONS = 2000
 _SMALLEST = np.finfo(float).smallest_subnormal
 
@@ -73,6 +93,11 @@ class SingularLiouvillianError(np.linalg.LinAlgError):
 
 class SteadyStateConvergenceError(SingularLiouvillianError):
     """Jump-map iteration did not converge within MAX_ITERATIONS steps."""
+
+
+class SteadyStateResidualError(SingularLiouvillianError):
+    """Jump-map iteration stopped with a scaled residual above
+    RESIDUAL_GATE."""
 
 
 class EmptyModeError(ZeroDivisionError):
@@ -138,7 +163,9 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     Returns the (N, d, d) states and per point "" or the name of the error
     that voids its state (NaN): SingularLiouvillianError where H_nh cannot
     be diagonalized, SteadyStateConvergenceError after MAX_ITERATIONS steps,
-    UnphysicalStateError where the check fails.
+    UnphysicalStateError where the check fails, SteadyStateResidualError
+    where the residual of the last iterate, max|R| / (kappa (n_1 + n_2)),
+    is above RESIDUAL_GATE (or NaN).
     """
     ops = two_mode_ops(basis)
     h = _non_hermitian(p, *ops, **arrays)
@@ -156,11 +183,17 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     h, lam, v, w = (x[live] for x in (h, lam, v, w))
     v_h, w_h = v.conj().swapaxes(1, 2), w.conj().swapaxes(1, 2)
     den = -1j * (lam[:, :, None] - lam.conj()[:, None, :])
+    # the dressed vacuum: D_i0i0 = 2 Im lam_i0 would amplify rounding by
+    # over 1/DARK_TOL, so its own equation is dropped and the trace row takes
+    # its place (L keeps the trace, so it holds at the fixed point)
+    rate = np.abs(lam.imag)
+    i0 = rate.argmin(axis=1)
+    near = np.flatnonzero(rate.min(axis=1) < DARK_TOL * p.kappa)
+    den[near, i0[near], i0[near]] = np.inf
     # a_1 and a_2 shift the flat index by n_max_2 + 1 and by 1: the nonzero
     # entries of a_j are the diagonal s_j at that offset.  So kappa J(rho) is
-    # a sum of shifted blocks (kappa s_j) rho' s_j, and <n_j> weighs the
-    # diagonal of rho by |s_j|^2; in complex and in this order, both round
-    # as the dense products do.
+    # a sum of shifted blocks (kappa s_j) rho' s_j; in complex and in this
+    # order, it rounds as the dense products do.
     shifts = [(m, np.diagonal(a, m))
               for a, m in zip(ops, (basis.n_max_2 + 1, 1))]
     left = [p.kappa * s[:, None] for _, s in shifts]
@@ -171,18 +204,11 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
             out[:, :-m, :-m] += k_s * r[:, m:, m:] * s
         return out
 
-    occ = np.zeros((2, basis.dim))
-    for j, (m, s) in enumerate(shifts):
-        occ[j, m:] = (s.conj() * s).real
-    weights = np.concatenate([occ, occ * (occ - 1)])
-
-    def moments(r):     # (N, 4, 1): one product per point, whatever N is
-        return weights @ r.diagonal(axis1=1, axis2=2).real[:, :, None]
-
+    weights = _moment_weights(*ops)     # <n_1>, <n_2>, then pair moments
     one = basis.flatten(1, 0)
     rho = np.zeros(h.shape, dtype=complex)
     rho[:, one, one] = 1.0
-    m_rho = moments(rho)
+    m_rho = _moments(weights, rho)
     changes, previous = [], None        # changes: the last 2*STALL_STEPS
     for _ in range(MAX_ITERATIONS):
         hr = h @ rho                    # rho H^dag = (H rho)^dag
@@ -190,7 +216,7 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
         image = rho - v @ ((w @ resid @ w_h) / den) @ v_h
         image = 0.5 * (image + image.conj().swapaxes(1, 2))
         image /= image.trace(axis1=1, axis2=2).real[:, None, None]
-        m_image = moments(image)
+        m_image = _moments(weights, image)
         change = np.max(np.abs(m_image - m_rho) / np.maximum(
             np.abs(m_image), MOMENT_FLOOR), axis=(1, 2))
         changes = changes[1 - 2 * STALL_STEPS:] + [change]
@@ -202,8 +228,14 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
                 recent >= history[:STALL_STEPS].max(axis=0))
         finished = np.flatnonzero(done)
         if len(finished):
-            valid = finished[_density_checks(image[finished])[1].all(axis=1)]
-            errors[live[finished]] = "UnphysicalStateError"
+            physical = _density_checks(image[finished])[1].all(axis=1)
+            n = m_rho[finished, :2, 0].sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = np.abs(resid[finished]).max(axis=(1, 2)) \
+                    / (p.kappa * n)
+            errors[live[finished]] = "SteadyStateResidualError"
+            errors[live[finished[~physical]]] = "UnphysicalStateError"
+            valid = finished[physical & (score <= RESIDUAL_GATE)]  # NaN fails
             rho_out[live[valid]], errors[live[valid]] = image[valid], ""
         if len(finished) == len(live):
             break
@@ -219,7 +251,7 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
                 / np.maximum(norm, _SMALLEST)
             rho = image - weight * (image - previous[0])
         previous = (image, step)
-        m_rho = moments(rho)
+        m_rho = _moments(weights, rho)
         if len(finished):
             keep = ~done
             live, h, v, w, v_h, w_h, den, rho, m_rho = (
@@ -233,6 +265,8 @@ _ERRORS = {cls.__name__: (cls, msg) for cls, msg in (
     (SingularLiouvillianError, "H_nh could not be diagonalized"),
     (SteadyStateConvergenceError,
      "jump-map iteration did not converge in {steps} steps"),
+    (SteadyStateResidualError,
+     "jump-map iteration stopped at a scaled residual above {gate}"),
     (UnphysicalStateError, "steady state failed the density-matrix check"))}
 
 
@@ -244,7 +278,7 @@ def steady_rho(p: SystemParams, basis: FockBasis) -> np.ndarray:
     rho, errors = steady_rho_stack(p, basis)
     if errors[0]:
         cls, msg = _ERRORS[errors[0]]
-        raise cls(msg.format(steps=MAX_ITERATIONS))
+        raise cls(msg.format(steps=MAX_ITERATIONS, gate=RESIDUAL_GATE))
     return rho[0]
 
 
@@ -331,14 +365,30 @@ def evolve(liouv: np.ndarray, rho0: np.ndarray, t_final: float,
     return v.reshape(d, d)
 
 
+def _moment_weights(*modes: np.ndarray) -> np.ndarray:
+    """(2 M, d) weights of <adag a> of each of M modes, then of their
+    <adag adag a a>, on diag(rho).  Each a is an annihilation operator of a
+    FockBasis, so adag a is diagonal, with entries occ = |a|^2 summed over
+    each column, and adag adag a a = adag a (adag a - 1)."""
+    occ = np.stack([(a.conj() * a).real.sum(axis=0) for a in modes])
+    return np.concatenate([occ, occ * (occ - 1)])
+
+
+def _moments(weights: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """(N, 2 M, 1) moments of an (N, d, d) stack: one product per point, so
+    each point rounds alike whatever N is (one product over the stack,
+    diag @ weights.T, does not)."""
+    return weights @ rhos.diagonal(axis1=1, axis2=2).real[:, :, None]
+
+
 def g2_stack(rhos: np.ndarray, a: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g2, n, empty) of one mode at each state of an (N, d, d) stack:
-    g2 = <adag adag a a> / <adag a>**2, undefined where n <= 1e-30 (empty,
-    EmptyModeError).  n**2 is pow(), as Python's float ** rounds it."""
-    a_h = a.conj().T
-    n = ((a_h @ a) @ rhos).trace(axis1=1, axis2=2).real
-    two = ((a_h @ a_h @ a @ a) @ rhos).trace(axis1=1, axis2=2).real
+    """(g2, n, empty) of the mode of Fock-basis annihilation operator a at
+    each state of an (N, d, d) stack: g2 = <adag adag a a> / <adag a>**2,
+    with both moments read from diag(rho), undefined where n <= 1e-30
+    (empty, EmptyModeError).  n**2 is pow(), as Python's float ** rounds
+    it."""
+    n, two = _moments(_moment_weights(a), rhos)[:, :, 0].T
     with np.errstate(divide="ignore", invalid="ignore"):
         return two / np.float_power(n, 2), n, n <= 1e-30
 

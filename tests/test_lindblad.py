@@ -7,6 +7,7 @@ from blockade.fock import FockBasis, two_mode_ops
 from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
                                SingularLiouvillianError,
                                SteadyStateConvergenceError,
+                               SteadyStateResidualError,
                                UnphysicalStateError, check_density_matrix,
                                evolve, g2_from_rho, g2_mode, liouvillian,
                                steady_g2, steady_rho, steady_rho_stack,
@@ -444,18 +445,18 @@ def test_sweep_columns_do_not_depend_on_the_chunk(monkeypatch):
 
 # Drive off: the vacuum is dark where the gain is off too, and every other
 # point is driven by pair creation alone, the parity-alternating case of the
-# pair-dominated hard point.  Row 1 stops at its rounding floor (a moment
-# change of ~2.5e-10, after ~60 steps), row 2 on MOMENT_TOL (~40 steps) and
-# row 3 takes ~200 steps.
+# pair-dominated hard point.  Row 1 stops at its rounding floor after ~60
+# steps (on MOMENT_TOL it would take ~80), row 2 on MOMENT_TOL after ~15
+# and row 3 on MOMENT_TOL after ~80: slow, but correct to 1e-14 relative.
 PAIR_BASE = SystemParams(theta=0.9, phi=-0.4, kappa=0.002, drive_E=0.0)
-PAIR_ROWS = {"delta": [0.057686, -0.0781407479121328, -0.008133,
-                       0.09197456771586407],
-             "lambda_gain": [0.0, 1.6228030856884575e-07, 1.3073e-05,
-                             2.1124711782845194e-08],
-             "hop_J": [0.015493, 0.0032115801430554684, 0.004638,
-                       0.007250097371996772],
-             "g_om": [0.095245, 0.17371305458730937, 0.031905,
-                      0.2254541532730812]}
+PAIR_ROWS = {"delta": [0.0014, -0.005730913909271121, 0.0014,
+                       0.017303665365106274],
+             "lambda_gain": [0.0, 3.864885018646405e-06, 3.5e-06,
+                             8.687525905503152e-06],
+             "hop_J": [0.0021, 0.016681494615961533, 0.0021,
+                       0.01452947220624741],
+             "g_om": [0.195, 0.07697477612802722, 0.195,
+                      0.10395167060696857]}
 
 
 def _capped(p, basis):
@@ -469,7 +470,7 @@ def test_steady_rho_stack_flags_exactly_the_capped_rows(monkeypatch):
     basis = FockBasis(3, 3)
     points = [PAIR_BASE.replace(**{f: v[k] for f, v in PAIR_ROWS.items()})
               for k in range(4)]
-    monkeypatch.setattr(blockade.lindblad, "MAX_ITERATIONS", 100)
+    monkeypatch.setattr(blockade.lindblad, "MAX_ITERATIONS", 70)
     for stall_tol, want in ((blockade.lindblad.STALL_TOL, [3]),
                             (0.0, [1, 3])):     # no rounding-floor stop
         monkeypatch.setattr(blockade.lindblad, "STALL_TOL", stall_tol)
@@ -486,17 +487,96 @@ def test_steady_rho_stack_flags_exactly_the_capped_rows(monkeypatch):
 
 
 def test_sweep_writes_the_cap_error_in_the_capped_rows_only(monkeypatch):
-    monkeypatch.setattr(blockade.lindblad, "MAX_ITERATIONS", 65)
-    base = PAIR_BASE.replace(delta=PAIR_ROWS["delta"][1],
-                             hop_J=PAIR_ROWS["hop_J"][1],
-                             g_om=PAIR_ROWS["g_om"][1])
-    spec = SweepSpec(axis="lambda", range=(0.0, 4e-7), points=9, base=base,
+    # the points up to lambda = 7e-6 stop after ~16 steps, the rest after ~60
+    monkeypatch.setattr(blockade.lindblad, "MAX_ITERATIONS", 30)
+    base = PAIR_BASE.replace(delta=PAIR_ROWS["delta"][0],
+                             hop_J=PAIR_ROWS["hop_J"][0],
+                             g_om=PAIR_ROWS["g_om"][0])
+    spec = SweepSpec(axis="lambda", range=(0.0, 1.4e-5), points=9, base=base,
                      method="lindblad", cavity="both")
     capped = [_capped(base.replace(lambda_gain=v), FockBasis(3, 3))[1]
-              for v in np.linspace(0.0, 4e-7, 9).tolist()]
+              for v in np.linspace(0.0, 1.4e-5, 9).tolist()]
     assert True in capped and False in capped
     for row, cap in zip(run_sweep(spec).rows, capped):
         cells = [row[k] for k in ROW_FIELDS[3:]]
         flagged = ["err:SteadyStateConvergenceError"] * 4
         assert (cells == flagged) if cap else \
             "err:SteadyStateConvergenceError" not in cells
+
+
+# Near-dark points: with the drive off and the gain on, H_nh has a "dressed
+# vacuum" eigenstate whose decay rate is 1e-9 to 1e-12 kappa.  Unfixed, the
+# defect correction amplifies rounding there by up to 1e12 and the iterate
+# collapses onto that state (n ~ 1e-16 against 1.6e-11 at lambda = 5e-8).
+# The base is the drive-off point whose lambda = 2.5e-7 and 3.5e-7 once ran
+# into the iteration cap.
+DRIVE_OFF = PAIR_BASE.replace(delta=-0.0781407479121328,
+                              hop_J=0.0032115801430554684,
+                              g_om=0.17371305458730937)
+NEAR_DARK = {
+    "lambda-3": (DRIVE_OFF, 3, "lambda_gain", np.linspace(1e-8, 4e-7, 40)),
+    "lambda-4": (DRIVE_OFF, 4, "lambda_gain", np.linspace(1e-8, 4e-7, 40)),
+    "strong": (strong_params(drive_E=0.0, lambda_gain=1.1e-6), 3, "delta",
+               np.linspace(-0.1, 0.02, 41)),
+    "capped": (DRIVE_OFF, 3, "lambda_gain", np.array([2.5e-7, 3.5e-7])),
+}
+
+
+def _dense_error(base, basis, field, values, rhos):
+    """Largest relative deviation of n_j and g2_j from the dense solve at
+    each point."""
+    out = []
+    for v, rho in zip(values.tolist(), rhos):
+        ref = steady_state(liouvillian(base.replace(**{field: v}), basis))
+        got, want = (np.array([g2_mode(r, a) for a in two_mode_ops(basis)])
+                     for r in (rho, ref))
+        out.append(np.max(np.abs(got - want) / np.abs(want)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", list(NEAR_DARK))
+def test_near_dark_points_match_the_dense_solve(case):
+    base, cutoff, field, values = NEAR_DARK[case]
+    basis = FockBasis(cutoff, cutoff)
+    rhos, errors = steady_rho_stack(base, basis, **{field: values})
+    assert list(errors) == [""] * len(values)
+    assert _dense_error(base, basis, field, values, rhos).max() < 1e-10
+
+
+@pytest.mark.parametrize("case", ["lambda-3", "strong"])
+def test_residual_gate_flags_the_unfixed_dressed_vacuum(monkeypatch, case):
+    # without the dressed-vacuum step, some points stop on a wrong state:
+    # exactly those are flagged, and every unflagged point is right
+    base, cutoff, field, values = NEAR_DARK[case]
+    basis = FockBasis(cutoff, cutoff)
+    monkeypatch.setattr(blockade.lindblad, "DARK_TOL", 0.0)
+    rhos, errors = steady_rho_stack(base, basis, **{field: values})
+    monkeypatch.setattr(blockade.lindblad, "RESIDUAL_GATE", np.inf)
+    ungated, ungated_errors = steady_rho_stack(base, basis, **{field: values})
+    stopped = ungated_errors == ""
+    wrong = np.zeros(len(values), dtype=bool)
+    wrong[stopped] = _dense_error(base, basis, field, values[stopped],
+                                  ungated[stopped]) > 1e-10
+    assert wrong.any()
+    assert list(np.flatnonzero(errors == "SteadyStateResidualError")) == \
+        list(np.flatnonzero(wrong))
+    assert (errors[~stopped] == ungated_errors[~stopped]).all()
+    ok = errors == ""
+    assert np.array_equal(rhos[ok], ungated[ok])
+    assert _dense_error(base, basis, field, values[ok], rhos[ok]).max() \
+        < 1e-10
+
+
+def test_residual_gate_error_reaches_the_sweep_and_the_cli(monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(blockade.lindblad, "RESIDUAL_GATE", 0.0)
+    p = weak_params(delta=7.3e-5, lambda_gain=0.93e-6)
+    with pytest.raises(SteadyStateResidualError, match="above 0.0"):
+        steady_rho(p, FockBasis(3, 3))
+    assert issubclass(SteadyStateResidualError, SingularLiouvillianError)
+    rows = run_sweep(SweepSpec(axis="delta", range=(0.0, 1e-3), points=2,
+                               base=p, cavity="1")).rows
+    assert all(row["g2_1_me"] == "err:SteadyStateResidualError"
+               and isinstance(row["g2_1_amp"], float) for row in rows)
+    assert cli_main(["g2", "--preset", "weak", "--method", "me"]) == 2
+    assert "SteadyStateResidualError" in capsys.readouterr().err

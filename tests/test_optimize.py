@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import blockade.lindblad
 import blockade.optimize
 from blockade.amplitude import lambda_gamma
 from blockade.model import SystemParams, strong_params, weak_params
@@ -368,6 +369,19 @@ def test_shipped_searches_keep_their_roots(preset, cavity):
     for q, (delta, lam) in zip(pairs, roots):
         assert q.delta_opt == pytest.approx(delta, rel=1e-12, abs=0)
         assert q.lambda_opt == pytest.approx(lam, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("preset, cavity", list(SHIPPED_ROOTS))
+def test_oracle_converges_in_a_dozen_steps_at_the_shipped_roots(
+        monkeypatch, preset, cavity):
+    # the oracle's step budget, free of timing: at most 11 jump-map steps
+    # per root (up to 27 while the stall test needed 16 steps of history)
+    roots = SHIPPED_ROOTS[preset, cavity]
+    points = [preset().replace(delta=-delta, lambda_gain=lam)
+              for delta, lam in roots]
+    want = [blockade.optimize.steady_g2(p, cutoff=4) for p in points]
+    monkeypatch.setattr(blockade.lindblad, "MAX_ITERATIONS", 12)
+    assert [blockade.optimize.steady_g2(p, cutoff=4) for p in points] == want
 
 
 @pytest.mark.parametrize("preset, grid", [(weak_params, WEAK_GRID),
