@@ -4,7 +4,9 @@ Subcommands: sweep, optimize, figure, g2, params.  Exit codes: 0 success,
 1 usage error (also a configuration that a SystemParams, SweepSpec,
 SearchGrid or FockBasis check rejects, an unopenable file, or an output
 file, --out or a sweep's metadata, that would overwrite the --params-file or
-the other output), 2 solver error.
+the other output), 2 solver error.  A run builds the options of its own
+subcommand only; argv that names none (``--help``, an unknown command)
+builds them all.
 
 Detunings given on the command line (``--delta``, ``optimize`` output)
 follow the published reporting axis, i.e. the sign convention of the
@@ -16,9 +18,11 @@ set, which negates the emitted delta column.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
+import shutil
 import sys
 
 import numpy as np
@@ -100,51 +104,63 @@ def _add_common(sp):
                     help="Fock cutoff per mode for the master equation")
 
 
-def build_parser() -> _Parser:
-    ap = _Parser(prog="blockade",
-                 description="coupled-cavity photon antibunching toolkit")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _g2_options(sp):
+    _add_common(sp)
+    sp.add_argument("--method", choices=("amp", "me", "both"), default="both")
+    sp.add_argument("--cavity", choices=("1", "2", "both"), default="both")
 
-    g2 = sub.add_parser("g2", parents=[], help="single-point g2(0)")
-    _add_common(g2)
-    g2.add_argument("--method", choices=("amp", "me", "both"), default="both")
-    g2.add_argument("--cavity", choices=("1", "2", "both"), default="both")
 
-    sw = sub.add_parser("sweep", help="1-D parameter sweep to CSV")
-    _add_common(sw)
-    sw.add_argument("--axis", choices=("delta", "lambda", "J", "g"),
+def _sweep_options(sp):
+    _add_common(sp)
+    sp.add_argument("--axis", choices=("delta", "lambda", "J", "g"),
                     default="delta")
-    sw.add_argument("--range", nargs=2, type=float, required=True,
+    sp.add_argument("--range", nargs=2, type=float, required=True,
                     metavar=("LO", "HI"), help="internal-axis sweep range")
-    sw.add_argument("--points", type=int, default=201)
-    sw.add_argument("--method", choices=("amp", "me", "both"), default="both")
-    sw.add_argument("--cavity", choices=("1", "2", "both"), default="both")
-    sw.add_argument("--flip-axis", action="store_true")
-    sw.add_argument("--out", required=True, help="output CSV path")
+    sp.add_argument("--points", type=int, default=201)
+    sp.add_argument("--method", choices=("amp", "me", "both"), default="both")
+    sp.add_argument("--cavity", choices=("1", "2", "both"), default="both")
+    sp.add_argument("--flip-axis", action="store_true")
+    sp.add_argument("--out", required=True, help="output CSV path")
 
-    op = sub.add_parser("optimize", help="optimal (delta, lambda) pairs")
-    _add_common(op)
-    op.set_defaults(cutoff=4)       # oracle certification runs at cutoff 4
-    op.add_argument("--cavity", type=int, choices=(1, 2), default=1)
-    op.add_argument("--delta-range", nargs=2, type=float, metavar=("LO", "HI"),
+
+def _optimize_options(sp):
+    _add_common(sp)
+    sp.set_defaults(cutoff=4)       # oracle certification runs at cutoff 4
+    sp.add_argument("--cavity", type=int, choices=(1, 2), default=1)
+    sp.add_argument("--delta-range", nargs=2, type=float, metavar=("LO", "HI"),
                     help="default: the --preset box, else STRONG_GRID's")
-    op.add_argument("--lambda-range", nargs=2, type=float,
+    sp.add_argument("--lambda-range", nargs=2, type=float,
                     metavar=("LO", "HI"), help="as --delta-range")
-    op.add_argument("--starts", nargs=2, type=int, default=None,
+    sp.add_argument("--starts", nargs=2, type=int, default=None,
                     metavar=("N_DELTA", "N_LAMBDA"))
-    op.add_argument("--keep-uncertified", action="store_true",
+    sp.add_argument("--keep-uncertified", action="store_true",
                     help="also return roots failing the master-equation "
                          "g2 check")
-    op.add_argument("--out", help="output JSON path (default: stdout)")
+    sp.add_argument("--out", help="output JSON path (default: stdout)")
 
-    fig = sub.add_parser("figure", help="regenerate a figure dataset")
-    fig.add_argument("figure_id", choices=FIGURE_IDS)
-    fig.add_argument("--out", required=True, help="output directory")
-    fig.add_argument("--points", type=int, default=401)
-    fig.add_argument("--cutoff", type=int, default=3)
 
-    pr = sub.add_parser("params", help="print resolved parameter sets")
-    _add_common(pr)
+def _figure_options(sp):
+    sp.add_argument("figure_id", choices=FIGURE_IDS)
+    sp.add_argument("--out", required=True, help="output directory")
+    sp.add_argument("--points", type=int, default=401)
+    sp.add_argument("--cutoff", type=int, default=3)
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, each registered with its help.  If
+    ``command`` names one, only that subcommand gets its options: argv that
+    starts with it reaches no other subparser, and the top-level help, usage
+    line and unknown-command error read only the registrations."""
+    # one terminal-width probe per build instead of one per add_argument
+    fmt = functools.partial(argparse.HelpFormatter,
+                            width=shutil.get_terminal_size().columns - 2)
+    ap = _Parser(prog="blockade", formatter_class=fmt,
+                 description="coupled-cavity photon antibunching toolkit")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, formatter_class=fmt)
+        if command not in _COMMANDS or command == name:
+            add_options(sp)
     return ap
 
 
@@ -213,20 +229,29 @@ def _cmd_params(args) -> int:
     return 0
 
 
-_COMMANDS = {"g2": _cmd_g2, "sweep": _cmd_sweep, "optimize": _cmd_optimize,
-             "figure": _cmd_figure, "params": _cmd_params}
+# name: (help, options, run), in the order of the usage line
+_COMMANDS = {
+    "g2": ("single-point g2(0)", _g2_options, _cmd_g2),
+    "sweep": ("1-D parameter sweep to CSV", _sweep_options, _cmd_sweep),
+    "optimize": ("optimal (delta, lambda) pairs", _optimize_options,
+                 _cmd_optimize),
+    "figure": ("regenerate a figure dataset", _figure_options, _cmd_figure),
+    "params": ("print resolved parameter sets", _add_common, _cmd_params),
+}
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
+    _, _, run = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return run(args)
     except SOLVER_ERRORS as exc:
         print("solver error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)

@@ -156,7 +156,7 @@ def write_csv(result: SweepResult, csv_path) -> None:
     """Rows as CSV; metadata to the sibling ``.json``."""
     _write_columns(result.columns, csv_path)
     with open(_metadata_path(csv_path), "w") as fh:
-        json.dump(result.metadata, fh, indent=2)
+        fh.write(json.dumps(result.metadata, indent=2))
 
 
 # Figure bindings.  Detuning ranges below are on the *emitted* axis; the

@@ -432,6 +432,37 @@ def test_steady_rho_stack_flags_failures_per_point(monkeypatch):
         steady_rho(base.replace(delta=float(deltas[3])), basis)
 
 
+def test_diagonalize_splits_the_stack_around_the_failing_point(monkeypatch):
+    # eig fails on every stack that holds the marked H_nh: the stack is
+    # split point by point, that point alone is flagged, and the others
+    # solve as in the unsplit stack, bit for bit
+    base = strong_params(lambda_gain=1.1e-6, theta=0.4, phi=-0.3)
+    deltas = np.linspace(-0.03, 0.01, 5)
+    basis = FockBasis(3, 3)
+    eig, stacks = np.linalg.eig, []
+
+    def recording_eig(a):
+        stacks.append(a.copy())
+        return eig(a)
+
+    monkeypatch.setattr(blockade.lindblad.np.linalg, "eig", recording_eig)
+    want, want_errors = steady_rho_stack(base, basis, delta=deltas)
+    assert list(want_errors) == [""] * 5
+    marked = stacks[0][2]
+
+    def failing_eig(a):
+        if (a == marked).all(axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(blockade.lindblad.np.linalg, "eig", failing_eig)
+    rhos, errors = steady_rho_stack(base, basis, delta=deltas)
+    assert list(errors) == ["", "", "SingularLiouvillianError", "", ""]
+    assert np.isnan(rhos[2]).all()
+    for k in (0, 1, 3, 4):
+        assert np.array_equal(rhos[k], want[k]), k
+
+
 def test_sweep_columns_do_not_depend_on_the_chunk(monkeypatch):
     spec = SweepSpec(axis="delta", range=(-0.1, 0.02), points=23,
                      base=strong_params(lambda_gain=1.1e-6, theta=0.7),

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -241,6 +242,77 @@ def test_cli_usage_errors(capsys):
     assert cli_main(["g2"]) == 1        # no preset and no params file
     assert cli_main(["sweep", "--preset", "weak", "--out", "x.csv"]) == 1
     capsys.readouterr()
+
+
+USAGE = "usage: blockade [-h] {g2,sweep,optimize,figure,params} ..."
+
+
+def test_console_entry_point(monkeypatch, capsys):
+    assert cli_main(["params", "--preset", "weak"]) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["blockade", "params", "--preset", "weak"])
+    with pytest.raises(SystemExit) as exit_:
+        blockade.cli.main()
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr(sys, "argv", ["blockade"])
+    with pytest.raises(SystemExit) as exit_:
+        blockade.cli.main()
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == USAGE
+
+
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of ``cli_main(argv)``; --help exits."""
+    try:
+        code = cli_main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    *(([name, "--help"], 0) for name in blockade.cli._COMMANDS),
+    (["sweep", "--preset", "weak", "--out", "x.csv"], 1),    # no --range
+    (["g2", "--preset", "bogus"], 1),                        # bad choice
+    (["figure", "9z", "--out", "."], 1),
+    (["params", "--preset", "weak", "--points", "9"], 1),    # not its option
+    (["sweep"], 1),
+    (["bogus", "--preset", "weak"], 1),                      # unknown command
+    ([], 1),                                                 # no command
+])
+def test_per_command_parser_prints_what_the_full_parser_prints(
+        argv, code, monkeypatch, capsys):
+    got = _run(argv, capsys)
+    assert got[0] == code
+    assert (got[1] if code == 0 else got[2].splitlines()[-1]).startswith(
+        "usage: blockade")
+    full = build_parser
+    monkeypatch.setattr(blockade.cli, "build_parser",
+                        lambda command=None: full())
+    assert _run(argv, capsys) == got
+
+
+@pytest.mark.parametrize("argv, cutoff", [
+    (["g2", "--preset", "weak", "--delta", "-0.73e-4", "--method", "amp"], 3),
+    (["sweep", "--preset", "strong", "--axis", "lambda", "--range", "-5e-6",
+      "5e-6", "--points", "9", "--flip-axis", "--out", "a.csv"], 3),
+    (["optimize", "--preset", "weak", "--starts", "4", "4"], 4),
+    (["optimize", "--preset", "strong", "--cutoff", "5", "--cavity", "2"], 5),
+    (["figure", "3a", "--out", "d", "--points", "9"], 3),
+    (["params", "--params-file", "p.json", "--J", "0.01"], 3),
+])
+def test_per_command_parser_parses_as_the_full_parser(argv, cutoff):
+    args = build_parser(argv[0]).parse_args(argv)
+    assert vars(args) == vars(build_parser().parse_args(argv))
+    assert args.cutoff == cutoff
+
+
+def test_per_command_parser_builds_no_other_options():
+    with pytest.raises(blockade.cli.UsageError, match="--preset"):
+        build_parser("figure").parse_args(["g2", "--preset", "weak"])
 
 
 @pytest.fixture
