@@ -2,19 +2,20 @@
 
 Two routes are provided:
 
-* ``steady_amplitude_stack`` -- the ground-truth path.  It writes the
-  non-Hermitian Hamiltonian on the n1+n2 <= 2 subspace straight from its
-  matrix elements (``subspace_block``; nothing is projected from a Fock
-  space) for arrays of rates, and solves the weak-driving hierarchy of all
-  points at once (c00 = 1, then the 2x2 one-photon block, then the 3x3
-  two-photon block).  ``steady_amplitudes`` is its one-point case.
+* ``steady_amplitude_stack`` -- the ground-truth path.  The builder of
+  the master equation's Hamiltonian, ``model.hamiltonian_stack``, writes
+  it on the six n1+n2 <= 2 states for arrays of rates, and the
+  weak-driving hierarchy of all points is solved at once (c00 = 1, then
+  the 2x2 one-photon block, then the 3x3 two-photon block).
+  ``steady_amplitudes`` is its one-point case.
 
-* ``analytic_coefficients`` -- the published closed forms, kept verbatim
-  for comparison.  These closed forms use the opposite detuning sign
-  (their Lambda = delta + i*kappa/2 - mu, versus the block diagonal
-  -(delta + mu) - i*kappa/2), so they reproduce the solve path evaluated
-  at -delta, up to complex conjugation and an alternating sign on the
-  one-photon amplitudes.  Magnitudes agree under that delta reflection.
+* ``analytic_coefficients`` -- the published closed forms, transcribed as
+  printed but for one sign in c11 (+E^2 Gamma; the printed -E^2 Gamma does
+  not solve the hierarchy).  These closed forms use the opposite detuning
+  sign (their Lambda = delta + i*kappa/2 - mu, versus the block diagonal
+  -(delta + mu) - i*kappa/2), so the solve path at -delta reproduces each
+  amplitude c_{n1 n2} as (-1)**n1 * conj(c_printed(delta)).  Magnitudes
+  agree under that delta reflection.
 """
 
 from __future__ import annotations
@@ -25,15 +26,12 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-# non_hermitian_hamiltonian is the reference for subspace_block; perfbench's
-# tracer also wraps it here by name.
-from .model import (SystemParams, non_hermitian_hamiltonian,  # noqa: F401
-                    stacked_rates)
+from .model import SystemParams, hamiltonian_stack, ladder_table
+# not called here; perfbench's tracer wraps it here by name
+from .model import non_hermitian_hamiltonian  # noqa: F401
 
-_SQRT2 = np.sqrt(2.0)
-# Occupation 2 as the Fock-space build rounds it: sqrt(2)*sqrt(2), not 2.
-_TWO = _SQRT2 * _SQRT2
-_OCCUPATION = np.array([0.0, 1.0, 1.0, 1.0 + 1.0, _TWO, _TWO])
+# the n1 + n2 <= 2 states, in the order of AmplitudeState's fields
+_TABLE = ladder_table(((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)))
 
 
 class UndefinedCorrelationError(ZeroDivisionError):
@@ -65,40 +63,9 @@ def lambda_gamma(p: SystemParams) -> tuple[complex, complex]:
     return base - p.mu, base - 2 * p.mu
 
 
-def subspace_block(p: SystemParams, **arrays) -> np.ndarray:
-    """Non-Hermitian Hamiltonian on the two-excitation subspace, shape
-    (N, 6, 6), in the order of AmplitudeState's fields (|00> to |20>).
-
-    Rates in ``model.STACKED_FIELDS`` given as arrays broadcast together and
-    override p's.  The entries round as those of ``non_hermitian_hamiltonian``
-    on FockBasis(2, 2) do, so the block equals that projection bit for bit.
-    """
-    delta, lam, hop, g = stacked_rates(p, arrays)
-    mu = np.float_power(g, 2)       # pow(), as SystemParams.mu rounds g**2
-    one, two = -delta - mu, -delta * _TWO - mu * (_TWO * _TWO)  # per mode
-    h = np.zeros(delta.shape + (6, 6), dtype=complex)
-    diag = h.reshape(-1, 36)[:, ::7]            # a view of the diagonals
-    diag.real[:, 1:] = np.array([one, one, one + one, two, two]).T
-    diag.imag = -0.5 * p.kappa * _OCCUPATION
-    up = p.drive_E * np.exp(1j * p.phi)
-    down = p.drive_E * np.exp(-1j * p.phi)
-    phase = np.exp(1j * p.theta)
-    pair_up = 1j * lam * phase * _SQRT2
-    pair_down = -1j * lam * np.conj(phase) * _SQRT2
-    # (upper state, lower state, raising and lowering elements): the drive
-    # on cavity 1, the parametric gain, the hopping
-    for hi, lo, rise, fall in (
-            (2, 0, up, down), (3, 1, up, down),
-            (5, 2, up * _SQRT2, down * _SQRT2),
-            (4, 0, pair_up, pair_down), (5, 0, pair_up, pair_down),
-            (2, 1, hop, hop), (5, 3, hop * _SQRT2, hop * _SQRT2),
-            (4, 3, hop * _SQRT2, hop * _SQRT2)):
-        h[:, hi, lo], h[:, lo, hi] = rise, fall
-    return h
-
-
 def steady_amplitude_stack(p: SystemParams, **arrays) -> np.ndarray:
-    """Weak-driving hierarchy of each block of ``subspace_block(p, **arrays)``.
+    """Weak-driving hierarchy of H_nh on the n1 + n2 <= 2 states, one block
+    per point of ``model.stacked_rates(p, arrays)``.
 
     c00 is pinned to 1 (no renormalization).  The one-photon 2x2 block is
     solved ignoring two-photon feedback; the two-photon 3x3 block is then
@@ -117,7 +84,7 @@ def steady_amplitude_stack(p: SystemParams, **arrays) -> np.ndarray:
         warnings.warn("drive_E > 0.1*kappa: outside the weak-driving window, "
                       "amplitude hierarchy may be inaccurate",
                       WeakDrivingWarning, stacklevel=level)
-    h = subspace_block(p, **arrays)
+    h = hamiltonian_stack(p, _TABLE, **arrays)
     one, two = slice(1, 3), slice(3, 6)     # |01>, |10> and |11>, |02>, |20>
     c = np.ones(h.shape[:2], dtype=complex)
     c[:, one] = np.linalg.solve(h[:, one, one], -h[:, one, 0, None])[..., 0]
@@ -134,11 +101,11 @@ def steady_amplitudes(p: SystemParams) -> AmplitudeState:
 
 
 def analytic_coefficients(p: SystemParams) -> AmplitudeState:
-    """Published closed-form steady amplitudes, transcribed verbatim.
+    """Published closed-form steady amplitudes.
 
     Valid only for theta = phi = 0.  Kept as printed, including their
-    detuning-sign convention; see the module docstring for how they relate
-    to ``steady_amplitudes``.
+    detuning-sign convention, but for the sign of c11's first term; see the
+    module docstring for how they relate to ``steady_amplitudes``.
     """
     if p.theta != 0.0 or p.phi != 0.0:
         raise ValueError("analytic_coefficients requires theta = phi = 0")
@@ -150,7 +117,8 @@ def analytic_coefficients(p: SystemParams) -> AmplitudeState:
 
     c01 = j * e / d1
     c10 = lam * e / d1
-    c11 = j * (-e ** 2 * gam - 2j * j ** 2 * lam_g + e ** 2 * lam
+    # printed with -e**2*gam, a sign misprint: +e**2*gam solves the hierarchy
+    c11 = j * (e ** 2 * gam - 2j * j ** 2 * lam_g + e ** 2 * lam
                + 2j * lam_g * lam ** 2) / (2 * d2 * d1)
     c02 = (j ** 2 * e ** 2 * gam + j ** 2 * e ** 2 * lam
            - 2j * j ** 2 * lam_g * gam * lam

@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: sweep, optimize, figure, g2, params.  Exit codes: 0 success,
-1 usage error (also a configuration that a SystemParams, SweepSpec,
-SearchGrid or FockBasis check rejects, an unopenable file, or an output
-file, --out or a sweep's metadata, that would overwrite the --params-file or
-the other output), 2 solver error.  A run builds the options of its own
-subcommand only; argv that names none (``--help``, an unknown command)
-builds them all.
+1 usage error (a configuration that a SystemParams, SweepSpec, SearchGrid or
+FockBasis check rejects, rates that overflow H, an unopenable file, or an
+output, --out or a sweep's metadata, over the --params-file or the other
+output) or closed standard output (silently), 2 solver error (also a g2 that
+is not finite).  A run builds the options of its own subcommand only; argv
+that names none (``--help``, an unknown command) builds them all.
 
 Detunings given on the command line (``--delta``, ``optimize`` output)
 follow the published reporting axis, i.e. the sign convention of the
@@ -38,7 +38,8 @@ from .sweep import (FIGURE_IDS, SweepSpec, _metadata_path, figure_dataset,
                     run_sweep, write_csv)
 
 SOLVER_ERRORS = (UndefinedCorrelationError, SingularLiouvillianError,
-                 EmptyModeError, UnphysicalStateError, np.linalg.LinAlgError)
+                 EmptyModeError, UnphysicalStateError, np.linalg.LinAlgError,
+                 FloatingPointError)
 
 
 class UsageError(ValueError):
@@ -180,7 +181,9 @@ def _cmd_g2(args) -> int:
         return key.split("_")[1] if key.startswith("g2_") else key[-1]
     if args.cavity in ("1", "2"):
         out = {k: v for k, v in out.items() if mode_of(k) == args.cavity}
-    print(json.dumps(out, indent=2))
+    if not np.isfinite(list(out.values())).all():
+        raise FloatingPointError("g2 not finite: %s" % out)
+    print(json.dumps(out, indent=2, allow_nan=False))
     return 0
 
 
@@ -251,7 +254,12 @@ def cli_main(argv=None) -> int:
         return 1
     _, _, run = _COMMANDS[args.command]
     try:
-        return run(args)
+        status = run(args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:     # as the SIGPIPE note of the signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SOLVER_ERRORS as exc:
         print("solver error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
 MAX_DIM = 1024      # cutoffs 31, 31: a steady-state solve takes ~20 s, 434 MB
 
 
@@ -67,8 +66,3 @@ def two_mode_ops(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     return (kron(annihilation(basis.n_max_1), eye2),
             kron(eye1, annihilation(basis.n_max_2)))
 
-
-def is_hermitian(a: np.ndarray) -> bool:
-    """Whether a, or each matrix of a stack (..., d, d), is Hermitian."""
-    return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()))
-                <= HERMITIAN_TOL)

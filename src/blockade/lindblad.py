@@ -52,7 +52,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import FockBasis, two_mode_ops
-from .model import SystemParams, _non_hermitian
+from .model import (SystemParams, hamiltonian_stack, ladder_table,
+                    non_hermitian_hamiltonian)
 # not called here; perfbench's tracer wraps it here by name
 from .model import effective_hamiltonian  # noqa: F401
 
@@ -113,13 +114,12 @@ def liouvillian(p: SystemParams, basis: FockBasis) -> np.ndarray:
     if basis.dim ** 2 > 10 ** 4:
         raise DimensionOverflowError("superoperator dimension %d > 1e4"
                                      % basis.dim ** 2)
-    ops = two_mode_ops(basis)
-    h = _non_hermitian(p, *ops)[0]
+    h = non_hermitian_hamiltonian(p, basis)
     eye = np.eye(basis.dim, dtype=complex)
     liouv = np.kron(h, eye)             # in place: one full-size temporary
     liouv -= np.kron(eye, h.conj())
     liouv *= -1j
-    for a in ops:
+    for a in two_mode_ops(basis):
         liouv += np.kron(p.kappa * a, a.conj())
     return liouv
 
@@ -167,8 +167,8 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     where the residual of the last iterate, max|R| / (kappa (n_1 + n_2)),
     is above RESIDUAL_GATE (or NaN).
     """
+    h = hamiltonian_stack(p, ladder_table(basis), **arrays)
     ops = two_mode_ops(basis)
-    h = _non_hermitian(p, *ops, **arrays)
     dark = ~h[:, :, 0].any(axis=1)      # H_nh |0> = 0: the vacuum is dark
     lam, v, w, ok = _diagonalize(h)
     live = np.flatnonzero(ok & ~dark)

@@ -12,6 +12,12 @@ photon hopping J*(adag_1 a_2 + adag_2 a_1).  The Kerr strength is
 mu = g_om**2 (optomechanical coupling squared, omega_m units), inherited
 from the radiation-pressure interaction after decoupling the mechanics.
 
+One function writes its entries, with the decay -i*kappa/2 * (n1 + n2):
+``hamiltonian_stack``, for stacks of rates on any list of states |n1, n2>
+(a FockBasis, or the six n1 + n2 <= 2 states of the amplitude hierarchy).
+It rounds them as the ladder products above: an occupation n as
+sqrt(n)*sqrt(n) (2.0000000000000004 for n = 2), n**2 as its square.
+
 Sign convention note: the published dip locations and optimal-pair tables
 for this system use the opposite sign of delta relative to the Hamiltonian
 above (figure axes are flipped).  Everything in this module and the
@@ -27,7 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import FockBasis, is_hermitian, two_mode_ops
+from .fock import FockBasis
+# not called here; perfbench's tracer wraps it here by name
+from .fock import two_mode_ops  # noqa: F401
 
 # 2*pi * 75 MHz, the mechanical frequency used for Hz <-> omega_m conversion.
 OMEGA_M_HZ_DEFAULT = 2.0 * math.pi * 75.0e6
@@ -66,6 +74,8 @@ class SystemParams:
             raise ValueError("drive_E must be >= 0")
         if self.g_om < 0:
             raise ValueError("g_om must be >= 0")
+        if math.isinf(self.g_om * self.g_om):
+            raise ValueError("g_om = %r: mu = g_om**2 overflows" % self.g_om)
 
     @property
     def mu(self) -> float:
@@ -106,13 +116,15 @@ def cpb_detunings(p: SystemParams) -> tuple[float, float]:
 
 
 def effective_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
-    """Hermitian effective Hamiltonian on the truncated two-mode space."""
-    return _hamiltonian(p, *two_mode_ops(basis))[0]
+    """H_nh on the truncated two-mode space without its decay: Hermitian."""
+    h = non_hermitian_hamiltonian(p, basis)
+    np.fill_diagonal(h.imag, 0.0)
+    return h
 
 
 def non_hermitian_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Effective Hamiltonian with -i*kappa/2 * (n1 + n2) decay terms."""
-    return _non_hermitian(p, *two_mode_ops(basis))[0]
+    return hamiltonian_stack(p, ladder_table(basis))[0]
 
 
 def stacked_rates(p: SystemParams, arrays: dict) -> list[np.ndarray]:
@@ -121,46 +133,63 @@ def stacked_rates(p: SystemParams, arrays: dict) -> list[np.ndarray]:
     unknown = set(arrays) - set(STACKED_FIELDS)
     if unknown:
         raise ValueError("cannot stack %s" % sorted(unknown))
-    return np.broadcast_arrays(*(
-        np.ravel(np.asarray(arrays.get(f, getattr(p, f)), dtype=float))
-        for f in STACKED_FIELDS))
+    rates = [np.asarray(arrays.get(f, getattr(p, f)), dtype=float).ravel()
+             for f in STACKED_FIELDS]
+    shape = np.broadcast_shapes(*(r.shape for r in rates))
+    return [r if r.shape == shape else r.repeat(shape[0]) for r in rates]
 
 
-def _hamiltonian(p: SystemParams, a1: np.ndarray, a2: np.ndarray, **arrays
-                 ) -> np.ndarray:
-    """``effective_hamiltonian`` from ladder operators the caller built, one
-    per point of ``stacked_rates(p, arrays)``: shape (N, d, d).
+# per off-diagonal term (the drive on cavity 1, the gain in each cavity, the
+# hopping): the change of (n1, n2) it makes, and its up and down rate columns
+_STEPS = np.array([(1, 0), (2, 0), (0, 2), (1, -1)])
+_RATES = np.array([(0, 1), (2, 3), (2, 3), (4, 4)])
 
-    A rate given as an array enters with shape (N, 1, 1), the others as p's
-    floats; each entry rounds as it does with all rates set in p.
-    """
-    n_points = len(stacked_rates(p, arrays)[0]) if arrays else 1
-    delta, lam, hop, g = (
-        np.asarray(arrays[f], dtype=float).reshape(-1, 1, 1) if f in arrays
-        else getattr(p, f) for f in STACKED_FIELDS)
-    mu = np.float_power(g, 2)       # pow(), as SystemParams.mu rounds g**2
-    h = np.zeros((n_points,) + a1.shape, dtype=complex)
-    opa_phase = np.exp(1j * p.theta)
-    pair_up = 1j * lam * opa_phase
-    pair_down = -1j * lam * np.conj(opa_phase)
-    for a in (a1, a2):
-        n = a.conj().T @ a
-        h += -delta * n - mu * (n @ n)
-        h += pair_up * (a.conj().T @ a.conj().T)
-        h += pair_down * (a @ a)
-    h += p.drive_E * np.exp(1j * p.phi) * a1.conj().T
-    h += p.drive_E * np.exp(-1j * p.phi) * a1
-    h += hop * (a1.conj().T @ a2 + a2.conj().T @ a1)
-    if not is_hermitian(h):
-        raise ValueError("effective Hamiltonian failed the Hermiticity check")
+
+def ladder_table(states) -> tuple:
+    """What ``hamiltonian_stack`` writes where on ``states``, a FockBasis or
+    pairs (n1, n2) in the order of H's rows: sqrt(n)*sqrt(n) for n photons
+    and its square, each state's (n1, n2) and total, and the flat index,
+    rate and element of each off-diagonal entry.  An element, sqrt(n + 1),
+    sqrt(n + 1)*sqrt(n + 2) or sqrt(n1 + 1)*sqrt(n2), is the ladder product."""
+    n = np.stack(np.divmod(np.arange(states.dim), states.n_max_2 + 1)) \
+        if isinstance(states, FockBasis) else np.array(states).T   # (2, S)
+    size, top = n.shape[1], n.max()
+    index = np.full((top + 3, top + 3), -1)     # n + 2 fits; n2 - 1 = -1 too
+    index[n[0], n[1]] = np.arange(size)
+    target = index[n[0] + _STEPS[:, :1], n[1] + _STEPS[:, 1:]]
+    move, lo = np.nonzero(target >= 0)      # the term raises |lo> to |hi>
+    hi, step, m = target[move, lo], _STEPS[move], n[:, lo].T
+    root = np.sqrt(np.arange(top + 3))
+    factor = np.where(step > 0, root[m + 1], np.where(
+        step < 0, root[m], 1.0)) * np.where(step == 2, root[m + 2], 1.0)
+    occ = (root * root)[:top + 1, None]     # sqrt(n) * sqrt(n)
+    return (occ, occ * occ, n, occ[n].sum(axis=0)[:, 0],
+            np.concatenate([hi * size + lo, lo * size + hi]),
+            _RATES[move].T.ravel(), np.tile(factor.prod(axis=1), 2))
+
+
+def hamiltonian_stack(p: SystemParams, table: tuple, **arrays) -> np.ndarray:
+    """H_nh on the states of ``ladder_table``, one per point of
+    ``stacked_rates(p, arrays)``: shape (N, S, S).  The one writer of
+    Hamiltonian entries; raises ValueError if one overflows."""
+    delta, lam, hop, g = stacked_rates(p, arrays)
+    occ, occ_sq, (n1, n2), total, where, rate, element = table
+    size, phase = len(total), np.exp(1j * p.theta)
+    h = np.zeros((len(delta), size, size), dtype=complex)
+    flat, rates = h.reshape(len(h), -1), np.empty((len(h), 5), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per photon number: -delta n - mu n**2, with pow() as SystemParams
+        energy = -delta * occ - np.float_power(g, 2) * occ_sq
+        flat[:, ::size + 1].real = (energy[n1] + energy[n2]).T
+        flat[:, ::size + 1].imag = -0.5 * p.kappa * total
+        rates[:, 0] = p.drive_E * np.exp(1j * p.phi)
+        rates[:, 1] = p.drive_E * np.exp(-1j * p.phi)
+        rates[:, 2], rates[:, 3] = 1j * lam * phase, -1j * lam * np.conj(phase)
+        rates[:, 4] = hop
+        flat[:, where] = rates[:, rate] * element
+    if not np.isfinite(h.view(float)).all():
+        raise ValueError("Hamiltonian entries overflow: a rate is too large")
     return h
-
-
-def _non_hermitian(p: SystemParams, a1: np.ndarray, a2: np.ndarray, **arrays
-                   ) -> np.ndarray:
-    """``non_hermitian_hamiltonian`` as ``_hamiltonian`` stacks it."""
-    n_tot = a1.conj().T @ a1 + a2.conj().T @ a2
-    return _hamiltonian(p, a1, a2, **arrays) - 0.5j * p.kappa * n_tot
 
 
 def params_from_dict(d: dict, omega_m_hz: float = OMEGA_M_HZ_DEFAULT

@@ -4,15 +4,22 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import blockade.amplitude
 from blockade.amplitude import (AmplitudeState, UndefinedCorrelationError,
                                 WeakDrivingWarning, analytic_coefficients,
                                 g2_cavity, g2_from_amplitudes, lambda_gamma,
-                                steady_amplitude_stack, steady_amplitudes,
-                                subspace_block)
+                                steady_amplitude_stack, steady_amplitudes)
 from blockade.fock import FockBasis
-from blockade.model import SystemParams, non_hermitian_hamiltonian, weak_params
+from blockade.model import (SystemParams, hamiltonian_stack,
+                            non_hermitian_hamiltonian, weak_params)
 from blockade.optimize import SearchGrid, find_optimal_pairs
 from blockade.sweep import SweepSpec, run_sweep
+
+
+def six_state_block(p, **arrays):
+    """The 6x6 blocks that the hierarchy solves, rows |00> to |20>."""
+    return hamiltonian_stack(p, blockade.amplitude._TABLE, **arrays)
+
 
 def _weak_opt_internal():
     # internal-axis parameters of the published cavity-1 optimum
@@ -201,8 +208,8 @@ def _random_params(rng):
 
 
 def test_direct_block_equals_fock_projection():
-    # the block is written from matrix elements, yet must round exactly as
-    # the 9x9 Fock-space Hamiltonian sliced to n1 + n2 <= 2
+    # the builder on the six states must round exactly as on the 9 states
+    # of FockBasis(2, 2), sliced to n1 + n2 <= 2
     basis = FockBasis(2, 2)
     idx = [basis.flatten(n1, n2) for n1, n2 in
            ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))]
@@ -210,7 +217,7 @@ def test_direct_block_equals_fock_projection():
     for _ in range(300):
         p = _random_params(rng)
         ref = non_hermitian_hamiltonian(p, basis)[np.ix_(idx, idx)]
-        assert np.array_equal(subspace_block(p)[0], ref)
+        assert np.array_equal(six_state_block(p)[0], ref)
 
 
 def test_stack_equals_points_bit_for_bit():
@@ -227,12 +234,12 @@ def test_stack_equals_points_bit_for_bit():
         point = p.replace(**{f: float(v[k]) for f, v in arrays.items()})
         assert np.array_equal(amps[k], astuple(steady_amplitudes(point)))
     # scalars broadcast against the stacked field
-    block = subspace_block(p, delta=arrays["delta"])
+    block = six_state_block(p, delta=arrays["delta"])
     assert block.shape == (n, 6, 6)
-    assert np.array_equal(block[3], subspace_block(
+    assert np.array_equal(block[3], six_state_block(
         p.replace(delta=float(arrays["delta"][3])))[0])
     with pytest.raises(ValueError):
-        subspace_block(p, kappa=np.ones(3))
+        six_state_block(p, kappa=np.ones(3))
 
 
 def test_block_determinants_clear_the_damping_bound():
@@ -242,7 +249,7 @@ def test_block_determinants_clear_the_damping_bound():
     for kappa in 10 ** rng.uniform(-4.0, 0.0, 100):   # 100 blocks each
         p = SystemParams(theta=rng.uniform(0.1, np.pi), kappa=kappa,
                          phi=rng.uniform(0.1, np.pi), drive_E=1e-6)
-        h = subspace_block(p, **{f: rng.uniform(-1.0, 1.0, 100) for f in
+        h = six_state_block(p, **{f: rng.uniform(-1.0, 1.0, 100) for f in
                                  ("delta", "lambda_gain", "hop_J")},
                            g_om=rng.uniform(0.0, 1.0, 100))
         assert (abs(np.linalg.det(h[:, 1:3, 1:3])) >= (kappa / 2) ** 2).all()
@@ -256,3 +263,30 @@ def test_underflowing_determinant_still_solves():
     amps = steady_amplitude_stack(p, delta=[-1e-3, 0.0, 1e-3])
     assert np.isfinite(amps).all()
     assert g2_cavity(AmplitudeState(*amps[1]), 1) == pytest.approx(1.0)
+
+
+def test_printed_c11_differs_only_in_the_sign_of_its_first_term():
+    # the printed c11, j(-E^2 Gamma - 2i j^2 lambda + E^2 Lambda
+    # + 2i lambda Lambda^2) / (2 d2 d1), against the corrected +E^2 Gamma:
+    # the two differ by exactly 2 j E^2 Gamma / (2 d2 d1), and only the
+    # corrected one is the solve path at -delta, up to -conj
+    rng = np.random.default_rng(11)
+    worst_printed = 0.0
+    for _ in range(50):
+        p = weak_params(delta=rng.uniform(-0.01, 0.01),
+                        lambda_gain=rng.uniform(-5e-6, 5e-6),
+                        hop_J=rng.uniform(1e-4, 0.0019),
+                        g_om=rng.uniform(0.0, 0.1))
+        lam, gam = lambda_gamma(p)
+        e, j, lam_g = p.drive_E, p.hop_J, p.lambda_gain
+        d1, d2 = lam ** 2 - j ** 2, gam * lam - j ** 2
+        printed = j * (-e ** 2 * gam - 2j * j ** 2 * lam_g + e ** 2 * lam
+                       + 2j * lam_g * lam ** 2) / (2 * d2 * d1)
+        corrected = analytic_coefficients(p).c11
+        assert corrected - printed == pytest.approx(
+            j * e ** 2 * gam / (d2 * d1), rel=1e-9)
+        got = steady_amplitudes(p.replace(delta=-p.delta)).c11
+        assert got == pytest.approx(-np.conj(corrected), rel=1e-12)
+        worst_printed = max(worst_printed,
+                            abs(got + np.conj(printed)) / abs(got))
+    assert worst_printed > 1.0

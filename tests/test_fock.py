@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockade.fock import (FockBasis, InvalidCutoffError, annihilation,
-                           is_hermitian, two_mode_ops)
+                           two_mode_ops)
 
 
 def _ket(basis, n1, n2):
@@ -95,8 +95,3 @@ def test_basis_rejects_bad_cutoffs():
     assert FockBasis(31, 31).dim == 1024        # the largest basis
     with pytest.raises(IndexError):
         FockBasis(2, 2).flatten(3, 0)
-
-
-def test_is_hermitian():
-    assert is_hermitian(np.diag([1.0, 2.0]).astype(complex))
-    assert not is_hermitian(annihilation(2))

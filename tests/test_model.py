@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from blockade.fock import FockBasis, is_hermitian, two_mode_ops
-from blockade.model import (OMEGA_M_HZ_DEFAULT, SystemParams, cpb_detunings,
-                            effective_hamiltonian, load_params,
+from blockade.fock import FockBasis, two_mode_ops
+from blockade.model import (OMEGA_M_HZ_DEFAULT, STACKED_FIELDS, SystemParams,
+                            cpb_detunings, effective_hamiltonian,
+                            hamiltonian_stack, ladder_table, load_params,
                             non_hermitian_hamiltonian, params_from_dict,
-                            strong_params, weak_params)
+                            stacked_rates, strong_params, weak_params)
 
 
 def test_preset_values():
@@ -69,7 +70,8 @@ def test_hamiltonian_hermitian_random_draws():
                          kappa=rng.uniform(1e-4, 5e-3),
                          drive_E=rng.uniform(0, 1e-4),
                          g_om=rng.uniform(0, 0.3))
-        assert is_hermitian(effective_hamiltonian(p, basis))
+        h = effective_hamiltonian(p, basis)
+        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
 def test_diagonal_energies():
@@ -139,6 +141,93 @@ def test_non_hermitian_decay_term():
     a1, a2 = two_mode_ops(basis)
     n_tot = a1.conj().T @ a1 + a2.conj().T @ a2
     assert np.max(np.abs(diff + 0.5j * p.kappa * n_tot)) == 0.0
+
+
+def _ladder_hamiltonian(p, basis, **arrays):
+    """(H, n1 + n2) from products of the ladder operators of two_mode_ops,
+    by the formula in the model docstring, one H per point of
+    stacked_rates(p, arrays); H_nh is H - i kappa/2 (n1 + n2).  The ladder
+    matrices are real, and a real product rounds as the complex one (one
+    nonzero term per entry), at a quarter of the cost."""
+    a1, a2 = (a.real for a in two_mode_ops(basis))
+    n_points = len(stacked_rates(p, arrays)[0])
+    delta, lam, hop, g = (
+        np.asarray(arrays[f], dtype=float).reshape(-1, 1, 1) if f in arrays
+        else getattr(p, f) for f in STACKED_FIELDS)
+    mu = np.float_power(g, 2)
+    h = np.zeros((n_points,) + a1.shape, dtype=complex)
+    phase = np.exp(1j * p.theta)
+    for a in (a1, a2):
+        n = a.T @ a
+        h += -delta * n - mu * (n @ n)
+        h += 1j * lam * phase * (a.T @ a.T)
+        h += -1j * lam * np.conj(phase) * (a @ a)
+    h += p.drive_E * np.exp(1j * p.phi) * a1.T
+    h += p.drive_E * np.exp(-1j * p.phi) * a1
+    h += hop * (a1.T @ a2 + a2.T @ a1)
+    return h, a1.T @ a1 + a2.T @ a2
+
+
+def _random_rates(rng, n=None):
+    return dict(delta=rng.uniform(-0.1, 0.1, n),
+                lambda_gain=rng.uniform(-1e-5, 1e-5, n),
+                hop_J=rng.uniform(-0.02, 0.02, n), g_om=rng.uniform(0, 0.3, n))
+
+
+@pytest.mark.parametrize("cutoffs", [(1, 1), (2, 3), (3, 3), (6, 6), (31, 31)])
+def test_builder_equals_ladder_products(cutoffs):
+    # the one builder writes entries as products of square roots; it must
+    # round as the ladder-operator sums do, at single points and in stacks
+    basis = FockBasis(*cutoffs)
+    table = ladder_table(basis)
+    rng = np.random.default_rng(sum(cutoffs))
+    for _ in range(1 if basis.dim > 100 else 8):
+        rates = {k: float(v) for k, v in _random_rates(rng).items()}
+        p = SystemParams(theta=rng.uniform(0.1, np.pi),
+                         kappa=rng.uniform(1e-4, 1e-2),
+                         phi=rng.uniform(-np.pi, -0.1),
+                         drive_E=rng.uniform(1e-7, 1e-5), **rates)
+        h, n_tot = _ladder_hamiltonian(p, basis)
+        h_nh = h - 0.5j * p.kappa * n_tot
+        assert np.array_equal(hamiltonian_stack(p, table), h_nh)
+        assert np.array_equal(non_hermitian_hamiltonian(p, basis), h_nh[0])
+        assert np.array_equal(effective_hamiltonian(p, basis), h[0])
+        stacks = [{"hop_J": [-0.01, 0.01]}] if basis.dim > 100 else [
+            _random_rates(rng, 5), {"delta": rng.uniform(-0.1, 0.1, 3)},
+            {"g_om": rng.uniform(0.0, 0.3, 1)}]
+        for arrays in stacks:
+            h, n_tot = _ladder_hamiltonian(p, basis, **arrays)
+            assert np.array_equal(hamiltonian_stack(p, table, **arrays),
+                                  h - 0.5j * p.kappa * n_tot)
+
+
+def test_builder_rejects_overflowing_entries():
+    table = ladder_table(FockBasis(2, 2))
+    # each rate is finite, its product with an element or occupation is not
+    for rates in ({"delta": [0.0, 1e308]}, {"lambda_gain": [1.5e308]},
+                  {"hop_J": [1.5e308]}, {"g_om": [1e155]}):
+        with np.errstate(all="raise"), pytest.raises(ValueError,
+                                                      match="overflow"):
+            hamiltonian_stack(weak_params(), table, **rates)
+    with pytest.raises(ValueError, match="overflow"):
+        non_hermitian_hamiltonian(weak_params(kappa=1e308), FockBasis(2, 2))
+
+
+def test_ladder_table_of_any_state_list():
+    # the same entries whatever the order of the states, and only between
+    # the states listed
+    states = [(2, 0), (0, 0), (1, 1), (0, 2), (1, 0)]
+    p = weak_params(lambda_gain=1e-6, theta=0.3, phi=0.2)
+    h = hamiltonian_stack(p, ladder_table(states))[0]
+    full = non_hermitian_hamiltonian(p, FockBasis(2, 2))
+    idx = [FockBasis(2, 2).flatten(*s) for s in states]
+    assert np.array_equal(h, full[np.ix_(idx, idx)])
+
+
+def test_g_om_whose_square_overflows_is_rejected():
+    with pytest.raises(ValueError, match="g_om"):
+        weak_params(g_om=1e200)
+    assert math.isfinite(weak_params(g_om=1e154).mu)
 
 
 def test_params_from_dict_plain_and_hz():

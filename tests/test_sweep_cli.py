@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import subprocess
 import sys
 import warnings
 
@@ -521,3 +522,56 @@ def test_cli_figure(tmp_path, capsys):
     assert code == 0
     assert len(os.listdir(tmp_path)) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["params", "--preset", "weak", "--g", "1e200"], "g_om"),
+    (["sweep", "--preset", "strong", "--axis", "g", "--range", "0", "1e200",
+      "--points", "5", "--method", "amp", "--cavity", "1", "--out", "f.csv"],
+     "g_om"),
+    (["g2", "--preset", "weak", "--delta", "1e308", "--method", "me"],
+     "entries overflow"),
+    (["g2", "--preset", "weak", "--delta", "1e308", "--method", "amp"],
+     "entries overflow"),
+    (["optimize", "--preset", "weak", "--delta-range", "0", "1e308",
+      "--out", "o.json"], "entries overflow"),
+])
+def test_cli_overflowing_rates_exit_1(argv, cause, tmp_path, capsys):
+    # g_om**2 overflows, or an entry of H does: a usage error that says so,
+    # with no traceback, no numpy warning and no output file
+    argv = [str(tmp_path / a) if a in ("f.csv", "o.json") else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("usage error:") and cause in err
+    assert "overflow" in err and err.count("\n") == 1
+    assert not caught
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_non_finite_g2_is_a_solver_error(capsys):
+    # lambda = 1e308 leaves every entry of H finite, not the amplitudes
+    argv = ["g2", "--preset", "weak", "--lambda", "1e308", "--method", "amp"]
+    assert cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "solver error: FloatingPointError: g2 not finite: " \
+        "{'g2_1_amp': inf, 'g2_2_amp': nan}\n"
+
+
+def test_cli_closed_stdout_exits_1_quietly():
+    # the reader of the pipe is gone before anything is written
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
+        env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "blockade.cli", "params",
+                               "--preset", "weak"], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
