@@ -135,13 +135,14 @@ def g2_cavity_stack(c: np.ndarray, cavity: int
     """(g2, undefined) of one cavity at each row of an (N, 6) amplitude stack.
 
     Uses the weak-driving occupation approximation n_1 ~ |c10|**2,
-    n_2 ~ |c01|**2; g2 is undefined where that amplitude is zero.  hypot and
+    n_2 ~ |c01|**2; g2 is undefined where that amplitude is zero, and inf or
+    nan, without a warning, where a power overflows.  hypot and
     pow() round as abs(complex) and float ** do, np.abs and ** not always.
     """
     if cavity not in (1, 2):
         raise ValueError("cavity must be 1 or 2")
     two, one = (c[:, 5], c[:, 2]) if cavity == 1 else (c[:, 4], c[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return (2.0 * np.float_power(np.hypot(two.real, two.imag), 2)
                 / np.float_power(np.hypot(one.real, one.imag), 4), one == 0)
 
@@ -150,7 +151,9 @@ def g2_cavity(s: AmplitudeState, cavity: int) -> float:
     """g2(0) of one cavity; see ``g2_cavity_stack``."""
     g2, undefined = g2_cavity_stack(np.array([astuple(s)]), cavity)
     if undefined[0]:
-        raise UndefinedCorrelationError("one-photon amplitude is zero")
+        raise UndefinedCorrelationError(
+            "cavity %d: one-photon amplitude is 0 at these rates (it "
+            "vanishes, or underflows below the smallest float)" % cavity)
     return float(g2[0])
 
 

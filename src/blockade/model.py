@@ -27,7 +27,6 @@ the reporting flip explicitly where documented.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -228,6 +227,7 @@ def _number(d: dict, key: str) -> float:
 
 def load_params(path) -> SystemParams:
     """Load SystemParams from a flat JSON file (see params_from_dict)."""
+    import json     # on first use: importing the package needs no json
     with open(path) as fh:
         d = json.load(fh)
     if not isinstance(d, dict):

@@ -18,6 +18,7 @@ a root at infinity, |delta| ~ 1e5).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -53,10 +54,14 @@ class SearchGrid:
     def __post_init__(self):
         if not np.all(np.isfinite((*self.delta_range, *self.lambda_range))):
             raise ValueError("range ends must be finite")
-        if self.delta_range[0] >= self.delta_range[1]:
-            raise ValueError("delta_range must satisfy lo < hi")
-        if self.lambda_range[0] >= self.lambda_range[1]:
-            raise ValueError("lambda_range must satisfy lo < hi")
+        for name in ("delta_range", "lambda_range"):
+            lo, hi = getattr(self, name)
+            if lo >= hi:
+                raise ValueError("%s must satisfy lo < hi" % name)
+            # as Python floats the width overflows to inf, with no warning
+            if not math.isfinite(float(hi) - float(lo)):
+                raise ValueError("%s %r: its width hi - lo overflows"
+                                 % (name, (lo, hi)))
         if (min(self.n_delta, self.n_lambda) < 4
                 or self.n_delta * self.n_lambda > MAX_STARTS):
             raise ValueError("start counts must be >= 4 with at most %d "

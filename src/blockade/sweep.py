@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -42,6 +43,11 @@ ROW_FIELDS = ("axis_value", "g2_1_amp", "g2_2_amp", "g2_1_me", "g2_2_me",
 # sweep (d = 16) ran as fast with 8 to 64 points per stack as unchunked, on
 # a 2-vCPU x86-64 machine; at 32 points its traced peak was 3 MB, not 35 MB.
 STACK_ENTRIES = 8192
+# About 1.3 kB of peak memory per point, whatever the method: 100,000 points
+# of an amplitude sweep written to CSV peaked at 158 MB RSS (29 MB after the
+# imports) in 0.9 s, and 10,000 by both methods at 42 MB in 3.9 s, on a
+# 2-vCPU x86-64 machine with numpy 2.4.
+MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,16 @@ class SweepSpec:
             raise ValueError("bad method %r" % self.method)
         if self.cavity not in ("1", "2", "both"):
             raise ValueError("bad cavity %r" % self.cavity)
-        if self.points < 2:
-            raise ValueError("points must be >= 2")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise ValueError("points must be >= 2 and <= %d" % MAX_POINTS)
         if not self.range[0] < self.range[1]:
             raise ValueError("range must satisfy lo < hi")
         for value in self.range:        # the grid lies between its ends
             self.base.replace(**{_AXIS_FIELD[self.axis]: float(value)})
+        # as Python floats the width overflows to inf, with no numpy warning
+        if not math.isfinite(float(self.range[1]) - float(self.range[0])):
+            raise ValueError("range %r: its width hi - lo overflows"
+                             % (self.range,))
         if self.method != "amplitude":
             FockBasis(self.cutoff, self.cutoff)
 
@@ -93,8 +103,10 @@ def _amplitude_columns(spec: SweepSpec, values: np.ndarray,
                                   **{_AXIS_FIELD[spec.axis]: values})
     for cav in (1, 2) if spec.cavity == "both" else (int(spec.cavity),):
         g2, undefined = g2_cavity_stack(amps, cav)
+        cells = np.where(np.isfinite(g2), g2.astype(object),
+                         "err:FloatingPointError")
         columns["g2_%d_amp" % cav] = np.where(
-            undefined, "err:UndefinedCorrelationError", g2.astype(object))
+            undefined, "err:UndefinedCorrelationError", cells)
 
 
 def _lindblad_columns(spec: SweepSpec, values: np.ndarray,

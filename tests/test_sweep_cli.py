@@ -15,8 +15,8 @@ import blockade.optimize
 from blockade.cli import build_parser, cli_main
 from blockade.fock import FockBasis, two_mode_ops
 from blockade.lindblad import EmptyModeError, g2_mode, steady_g2, steady_rho
-from blockade.sweep import (FIGURE_IDS, ROW_FIELDS, SweepSpec, figure_dataset,
-                            run_sweep, write_csv)
+from blockade.sweep import (FIGURE_IDS, MAX_POINTS, ROW_FIELDS, SweepSpec,
+                            figure_dataset, run_sweep, write_csv)
 from blockade.model import strong_params, weak_params
 
 
@@ -560,18 +560,95 @@ def test_cli_non_finite_g2_is_a_solver_error(capsys):
         "{'g2_1_amp': inf, 'g2_2_amp': nan}\n"
 
 
-def test_cli_closed_stdout_exits_1_quietly():
-    # the reader of the pipe is gone before anything is written
+def _cli_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
         env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_process(argv, cwd):
+    """``python -m blockade.cli argv`` in cwd: (exit code, stdout, stderr)."""
+    done = subprocess.run([sys.executable, "-m", "blockade.cli", *argv],
+                          cwd=cwd, capture_output=True, text=True,
+                          env=_cli_env(), timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_cli_closed_stdout_exits_1_quietly():
+    # the reader of the pipe is gone before anything is written
     read, write = os.pipe()
     os.close(read)
     try:
         done = subprocess.run([sys.executable, "-m", "blockade.cli", "params",
                                "--preset", "weak"], stdout=write,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
+                              stderr=subprocess.PIPE, env=_cli_env(),
+                              timeout=60)
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sweep", "--preset", "weak", "--range", "-1e308", "1e308",
+      "--points", "5", "--method", "amp", "--out", "f.csv"], "range"),
+    (["optimize", "--preset", "weak", "--delta-range", "-1e308", "1e308",
+      "--out", "o.json"], "delta_range"),
+    (["optimize", "--preset", "weak", "--lambda-range", "-1e308", "1e308",
+      "--out", "o.json"], "lambda_range"),
+])
+def test_cli_range_whose_width_overflows_exits_1(argv, name, tmp_path):
+    # each end is finite, hi - lo is not: a usage error before np.linspace
+    code, out, err = _cli_process(argv, tmp_path)
+    assert (code, out) == (1, "")
+    assert err == "usage error: %s (-1e+308, 1e+308): its width hi - lo " \
+        "overflows\n" % name
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_overflowing_amplitude_g2_is_a_solver_error_or_cell(tmp_path):
+    # lambda = 1e300: |c20|**2 overflows; no numpy warning reaches stderr
+    code, out, err = _cli_process(["g2", "--preset", "weak", "--lambda",
+                                   "1e300", "--method", "amp"], tmp_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("solver error: FloatingPointError: g2 not finite")
+    assert "RuntimeWarning" not in err
+    code, out, err = _cli_process(
+        ["sweep", "--preset", "weak", "--axis", "lambda", "--range", "0",
+         "1e300", "--points", "3", "--method", "amp", "--out", "g.csv"],
+        tmp_path)
+    assert (code, err) == (0, "")
+    with open(tmp_path / "g.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[0]["g2_1_amp"]) > 0
+    assert [(r["g2_1_amp"], r["g2_2_amp"]) for r in rows[1:]] == \
+        [("err:FloatingPointError",) * 2] * 2
+
+
+@pytest.mark.parametrize("hop_J", ["1e200", "1e308"])
+def test_cli_underflowing_one_photon_amplitude_names_the_cause(hop_J, capsys):
+    # c10 ~ E*kappa/J**2 underflows to 0 while every entry of H is finite
+    argv = ["g2", "--preset", "weak", "--J", hop_J, "--method", "amp"]
+    assert cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "solver error: UndefinedCorrelationError: cavity 1: " \
+        "one-photon amplitude is 0 at these rates (it vanishes, or " \
+        "underflows below the smallest float)\n"
+
+
+def test_sweep_points_are_bounded(tmp_path, capsys):
+    # only the spec is built: a rejected point count allocates no sweep
+    kw = dict(axis="delta", range=(-0.01, 0.01), base=weak_params(),
+              method="amplitude")
+    SweepSpec(points=MAX_POINTS, **kw)
+    with pytest.raises(ValueError, match="<= %d" % MAX_POINTS):
+        SweepSpec(points=MAX_POINTS + 1, **kw)
+    out = tmp_path / "s.csv"
+    assert cli_main(["sweep", "--preset", "weak", "--range", "-0.01", "0.01",
+                     "--points", str(MAX_POINTS + 1), "--method", "amp",
+                     "--out", str(out)]) == 1
+    assert "usage error: points must be" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
