@@ -18,8 +18,8 @@ _EXPORTS = {
               "effective_hamiltonian", "non_hermitian_hamiltonian"),
     "amplitude": ("AmplitudeState", "steady_amplitudes",
                   "analytic_coefficients", "g2_from_amplitudes"),
-    "lindblad": ("liouvillian", "steady_state", "steady_rho",
-                 "steady_rho_stack", "evolve", "g2_from_rho", "steady_g2"),
+    "lindblad": ("steady_rho", "steady_rho_stack", "g2_from_rho",
+                 "steady_g2"),
     "optimize": ("OptimalPair", "SearchGrid", "find_optimal_pairs",
                  "target_residual"),
     "sweep": ("SweepSpec", "run_sweep", "figure_dataset"),

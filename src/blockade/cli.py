@@ -1,18 +1,18 @@
 """Command-line front end.
 
 Subcommands: sweep, optimize, figure, g2, params.  Exit codes: 0 success,
-1 usage error (a configuration that a SystemParams, SweepSpec, SearchGrid or
-FockBasis check rejects, rates that overflow H, an unopenable file, or an
-output, --out or a sweep's metadata, over the --params-file or the other
-output) or closed standard output (silently), 2 solver error (also a g2 that
-is not finite).  A run builds the options of its own subcommand only; argv
-that names none (``--help``, an unknown command) builds them all.
+1 usage error (a configuration that a SystemParams, SweepSpec, SearchGrid,
+FockBasis or g2_basis check rejects, rates that overflow H, an unopenable
+file, or an output, --out or a sweep's metadata, over the --params-file or
+the other output) or closed standard output (silently), 2 solver error (also
+a g2 that is not finite).  A run builds the options of its own subcommand
+only; argv that names none (``--help``, an unknown command) builds them all.
 
 Detunings given on the command line (``--delta``, ``optimize`` output)
 follow the published reporting axis, i.e. the sign convention of the
 optimal-pair tables and figure captions; internally the Hamiltonian uses
 the opposite sign.  Sweep ranges are internal unless ``--flip-axis`` is
-set, which negates the emitted delta column.
+set, which negates the emitted delta column (a usage error on other axes).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 
 from .amplitude import (UndefinedCorrelationError, g2_from_amplitudes,
                         steady_amplitudes)
+from .fock import g2_basis
 from .lindblad import (EmptyModeError, SingularLiouvillianError,
                        UnphysicalStateError, steady_g2)
 from .model import SystemParams, load_params, strong_params, weak_params
@@ -170,6 +171,8 @@ _METHOD = {"amp": "amplitude", "me": "lindblad", "both": "both"}
 
 def _cmd_g2(args) -> int:
     p = _base_params(args)
+    if args.method != "amp":
+        g2_basis(args.cutoff)
     out = {}
     if args.method in ("amp", "both"):
         g2_1, g2_2 = g2_from_amplitudes(steady_amplitudes(p))

@@ -14,7 +14,8 @@ MAX_DIM = 1024      # cutoffs 31, 31: a steady-state solve takes ~20 s, 434 MB
 
 
 class InvalidCutoffError(ValueError):
-    """Photon-number cutoff below 1, or a basis dimension above MAX_DIM."""
+    """Photon-number cutoff below 1 (below 2 for a g2), or a basis dimension
+    above MAX_DIM."""
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,15 @@ class FockBasis:
         if not (0 <= n1 <= self.n_max_1 and 0 <= n2 <= self.n_max_2):
             raise IndexError("occupation (%d, %d) outside basis" % (n1, n2))
         return n1 * (self.n_max_2 + 1) + n2
+
+
+def g2_basis(cutoff: int) -> FockBasis:
+    """FockBasis(cutoff, cutoff) for a master-equation g2(0), which needs
+    cutoff >= 2: at cutoff 1 no mode holds two photons, so g2 reads 0."""
+    if cutoff < 2:
+        raise InvalidCutoffError("g2(0) needs a cutoff >= 2 (no mode holds "
+                                 "two photons at cutoff 1), got %r" % cutoff)
+    return FockBasis(cutoff, cutoff)
 
 
 def annihilation(n_max: int) -> np.ndarray:

@@ -42,16 +42,16 @@ matrices vectorized row-major (numpy ravel order), so vec(A @ rho @ B) =
 kron(A, B.T) @ vec(rho):
 L = -i (H_nh (x) 1 - 1 (x) conj(H_nh)) + kappa sum_j a_j (x) conj(a_j).
 With ``steady_state`` (a trace-constrained linear solve, O(d^6)) it is the
-reference the tests and demos check ``steady_rho`` against, and the
-generator ``evolve`` integrates.  As the only code that builds a superoperator
-it alone refuses d*d > 1e4 (cutoff 9 takes 1.6 GB); the rest takes any basis.
+reference that the tests and demos check ``steady_rho`` against; neither is
+public API.  As the only code that builds a superoperator it alone refuses
+d*d > 1e4 (cutoff 9 takes 1.6 GB); the rest takes any basis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import FockBasis, two_mode_ops
+from .fock import FockBasis, g2_basis, two_mode_ops
 from .model import (SystemParams, hamiltonian_stack, ladder_table,
                     non_hermitian_hamiltonian)
 # not called here; perfbench's tracer wraps it here by name
@@ -309,60 +309,24 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     """Steady density matrix from the trace-constrained linear solve.
 
     One row of L is replaced by the vectorized-trace row with right-hand
-    side 1; the solution is Hermitized and validated.  The pre-Hermitization
-    asymmetry is available via ``steady_state_with_diagnostics``.
+    side 1.  The raw solution is checked by ``check_density_matrix``, so
+    its asymmetry must be within HERM_TOL, and returned Hermitized.
     """
-    rho, _ = steady_state_with_diagnostics(liouv)
-    return rho
-
-
-def steady_state_with_diagnostics(liouv: np.ndarray
-                                  ) -> tuple[np.ndarray, dict]:
     d2 = liouv.shape[0]
     d = int(round(np.sqrt(d2)))
     if d * d != d2:
         raise ValueError("superoperator dimension is not a perfect square")
     m = liouv.copy()
-    trace_row = np.zeros(d2, dtype=complex)
-    trace_row[::d + 1] = 1.0        # vec indices of diagonal entries
-    m[0, :] = trace_row
+    m[0, :] = 0.0
+    m[0, ::d + 1] = 1.0             # vec indices of diagonal entries
     b = np.zeros(d2, dtype=complex)
     b[0] = 1.0
     try:
-        vec = np.linalg.solve(m, b)
+        rho = np.linalg.solve(m, b).reshape(d, d)
     except np.linalg.LinAlgError as exc:
         raise SingularLiouvillianError(str(exc)) from exc
-    rho_raw = vec.reshape(d, d)
-    asym = float(np.max(np.abs(rho_raw - rho_raw.conj().T)))
-    rho = 0.5 * (rho_raw + rho_raw.conj().T)
     check_density_matrix(rho)
-    residual = float(np.max(np.abs(liouv @ rho.ravel())))
-    return rho, {"hermitization_asymmetry": asym, "residual_inf": residual}
-
-
-def evolve(liouv: np.ndarray, rho0: np.ndarray, t_final: float,
-           dt: float) -> np.ndarray:
-    """Fixed-step RK4 integration of d(rho)/dt = L rho.
-
-    Aborts when the trace drifts by more than 1e-6, which signals a step
-    size past the stability bound (dt <~ 0.1 / ||L||_inf).
-    """
-    v = rho0.ravel().astype(complex)
-    d = rho0.shape[0]
-    n_steps = int(np.ceil(t_final / dt))
-    step = t_final / n_steps
-    for _ in range(n_steps):
-        k1 = liouv @ v
-        k2 = liouv @ (v + 0.5 * step * k1)
-        k3 = liouv @ (v + 0.5 * step * k2)
-        k4 = liouv @ (v + step * k3)
-        v = v + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = abs(np.sum(v[::d + 1]) - 1.0)
-        if drift > 1e-6:
-            raise RuntimeError(
-                "trace drift %g exceeds 1e-6; reduce dt (stability bound "
-                "dt <= 0.1/||L||_inf)" % drift)
-    return v.reshape(d, d)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _moment_weights(*modes: np.ndarray) -> np.ndarray:
@@ -413,10 +377,10 @@ def steady_g2(p: SystemParams, cutoff: int = 3, allow_large: bool = False
               ) -> tuple[float, float, float, float]:
     """Exact (g2_1, g2_2, n1, n2) from ``steady_rho`` at a cutoff.
 
-    A cutoff that ``FockBasis`` rejects raises InvalidCutoffError.
+    A cutoff that ``g2_basis`` rejects raises InvalidCutoffError.
     ``allow_large`` is accepted and ignored; it lifted a retired guard.
     """
-    basis = FockBasis(cutoff, cutoff)
+    basis = g2_basis(cutoff)
     rho = steady_rho(p, basis)
     a1, a2 = two_mode_ops(basis)
     return g2_from_rho(rho, a1, a2)

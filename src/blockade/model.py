@@ -104,6 +104,20 @@ def strong_params(**overrides) -> SystemParams:
     return p.replace(**overrides) if overrides else p
 
 
+def check_range(name: str, rng) -> None:
+    """Raise ValueError unless the range (lo, hi) has finite ends, lo < hi
+    and a finite width (as Python floats hi - lo overflows to inf, with no
+    numpy warning)."""
+    lo, hi = (float(x) for x in rng)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("range ends must be finite")
+    if not lo < hi:
+        raise ValueError("%s must satisfy lo < hi" % name)
+    if not math.isfinite(hi - lo):
+        raise ValueError("%s %r: its width hi - lo overflows"
+                         % (name, (lo, hi)))
+
+
 def cpb_detunings(p: SystemParams) -> tuple[float, float]:
     """Conventional-blockade dip locations (mu + J, mu - J).
 
@@ -198,6 +212,7 @@ def params_from_dict(d: dict, omega_m_hz: float = OMEGA_M_HZ_DEFAULT
     Keys are the SystemParams field names with values in omega_m units;
     a sibling key with an `_hz` suffix is accepted instead (not as well) and
     divided by omega_m_hz (both in the same angular-frequency convention).
+    A ``mu`` key, as ``SystemParams.to_dict`` writes it, must equal g_om**2.
     """
     if not 0 < omega_m_hz < math.inf:
         raise ValueError("omega_m_hz must be in (0, inf), got %r" % omega_m_hz)
@@ -210,10 +225,14 @@ def params_from_dict(d: dict, omega_m_hz: float = OMEGA_M_HZ_DEFAULT
         elif key + "_hz" in d:
             kw[key] = _number(d, key + "_hz") / omega_m_hz
     unknown = set(d) - {k for k in _PARAM_KEYS} - {k + "_hz" for k in _PARAM_KEYS} \
-        - {"omega_m_hz"}
+        - {"omega_m_hz", "mu"}
     if unknown:
         raise ValueError("unknown parameter keys: %s" % sorted(unknown))
-    return SystemParams(**kw)
+    p = SystemParams(**kw)
+    if "mu" in d and _number(d, "mu") != p.mu:
+        raise ValueError("mu = %r differs from g_om**2 = %r"
+                         % (_number(d, "mu"), p.mu))
+    return p
 
 
 def _number(d: dict, key: str) -> float:

@@ -18,15 +18,14 @@ a root at infinity, |delta| ~ 1e5).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .amplitude import steady_amplitude_stack, steady_amplitudes
-from .fock import FockBasis
+from .fock import g2_basis
 from .lindblad import steady_g2
-from .model import SystemParams
+from .model import SystemParams, check_range, cpb_detunings
 
 NEWTON_FD_STEP = 1e-9
 NEWTON_MAX_ITER = 60
@@ -52,16 +51,8 @@ class SearchGrid:
     n_lambda: int = 8
 
     def __post_init__(self):
-        if not np.all(np.isfinite((*self.delta_range, *self.lambda_range))):
-            raise ValueError("range ends must be finite")
         for name in ("delta_range", "lambda_range"):
-            lo, hi = getattr(self, name)
-            if lo >= hi:
-                raise ValueError("%s must satisfy lo < hi" % name)
-            # as Python floats the width overflows to inf, with no warning
-            if not math.isfinite(float(hi) - float(lo)):
-                raise ValueError("%s %r: its width hi - lo overflows"
-                                 % (name, (lo, hi)))
+            check_range(name, getattr(self, name))
         if (min(self.n_delta, self.n_lambda) < 4
                 or self.n_delta * self.n_lambda > MAX_STARTS):
             raise ValueError("start counts must be >= 4 with at most %d "
@@ -201,9 +192,9 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
     (lambda_opt scales as E^2) they sit at ~3e-3.  Roots on two-photon
     resonances, where the hierarchy breaks down entirely, are dropped too.
     Pass ``oracle_threshold=None`` to keep every root.  An oracle cutoff
-    that ``FockBasis`` rejects raises InvalidCutoffError before the search.
+    that ``g2_basis`` rejects raises InvalidCutoffError before the search.
     """
-    FockBasis(g2_cutoff, g2_cutoff)
+    g2_basis(g2_cutoff)
     if p.drive_E <= 0:
         return []
     tol = 1e-10 * p.drive_E ** 2
@@ -238,8 +229,7 @@ def classify_mechanism(pair: OptimalPair, p: SystemParams) -> OptimalPair:
     5*kappa.  When both resonances match, the closer one is annotated
     (delta_plus on a tie).
     """
-    d_plus = abs(pair.delta_opt - (p.mu + p.hop_J))
-    d_minus = abs(pair.delta_opt - (p.mu - p.hop_J))
+    d_plus, d_minus = (abs(pair.delta_opt - d) for d in cpb_detunings(p))
     near_plus = d_plus <= CPB_PROXIMITY_KAPPAS * p.kappa
     near_minus = d_minus <= CPB_PROXIMITY_KAPPAS * p.kappa
     if not (p.mu > p.kappa and (near_plus or near_minus)):

@@ -1,20 +1,19 @@
 """Parameter sweeps of g2(0) by both methods and figure-dataset emission.
 
 Sweep axes are in the internal Hamiltonian convention; ``axis_flip``
-negates the emitted axis values for delta sweeps (the published figures
-plot the detuning with the opposite sign).  Each column is an array from
-the stacked solves and g2s, equal bit for bit to their one-point cases; the
-CSV is written from the columns, and Python touches each point only to
-assemble ``SweepResult.rows``.  Cells carry sentinel strings ``err:<code>``
-where a per-point solver failed; metadata lives in a sibling JSON file,
-never inline.
+negates the emitted axis values of a delta sweep, and is refused on other
+axes (the published figures plot the detuning with the opposite sign).
+Each column is an array from the stacked solves and g2s, equal bit for bit
+to their one-point cases; the CSV is written from the columns, and Python
+touches each point only to assemble ``SweepResult.rows``.  Cells carry
+sentinel strings ``err:<code>`` where a per-point solver failed; metadata
+lives in a sibling JSON file, never inline.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -26,11 +25,11 @@ from . import __version__
 from .amplitude import g2_cavity_stack, steady_amplitude_stack
 # not called here; perfbench's tracer wraps them here by name
 from .amplitude import g2_cavity, steady_amplitudes  # noqa: F401
-from .fock import FockBasis, two_mode_ops
+from .fock import g2_basis, two_mode_ops
 from .lindblad import g2_stack, steady_rho_stack
 # not called here; perfbench's tracer wraps them here by name
 from .lindblad import g2_mode, liouvillian, steady_state  # noqa: F401
-from .model import SystemParams, strong_params, weak_params
+from .model import SystemParams, check_range, strong_params, weak_params
 
 AXES = ("delta", "lambda", "J", "g")
 _AXIS_FIELD = {"delta": "delta", "lambda": "lambda_gain",
@@ -68,18 +67,16 @@ class SweepSpec:
             raise ValueError("bad method %r" % self.method)
         if self.cavity not in ("1", "2", "both"):
             raise ValueError("bad cavity %r" % self.cavity)
+        if self.axis_flip and self.axis != "delta":
+            raise ValueError("axis_flip negates a delta axis only, not %r"
+                             % self.axis)
         if not 2 <= self.points <= MAX_POINTS:
             raise ValueError("points must be >= 2 and <= %d" % MAX_POINTS)
-        if not self.range[0] < self.range[1]:
-            raise ValueError("range must satisfy lo < hi")
+        check_range("range", self.range)
         for value in self.range:        # the grid lies between its ends
             self.base.replace(**{_AXIS_FIELD[self.axis]: float(value)})
-        # as Python floats the width overflows to inf, with no numpy warning
-        if not math.isfinite(float(self.range[1]) - float(self.range[0])):
-            raise ValueError("range %r: its width hi - lo overflows"
-                             % (self.range,))
         if self.method != "amplitude":
-            FockBasis(self.cutoff, self.cutoff)
+            g2_basis(self.cutoff)
 
 
 @dataclass
@@ -114,7 +111,7 @@ def _lindblad_columns(spec: SweepSpec, values: np.ndarray,
     """g2_j_me and n_j of every point, from stacked master-equation solves
     of STACK_ENTRIES // d**2 points at a time."""
     cavities = (1, 2) if spec.cavity == "both" else (int(spec.cavity),)
-    basis = FockBasis(spec.cutoff, spec.cutoff)
+    basis = g2_basis(spec.cutoff)
     ops = two_mode_ops(basis)
     chunk = max(1, STACK_ENTRIES // basis.dim ** 2)
     for start in range(0, len(values), chunk):
@@ -135,8 +132,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate g2(0) over the axis grid; deterministic given the spec."""
     values = np.linspace(spec.range[0], spec.range[1], spec.points)
     t0 = time.perf_counter()
-    flip = spec.axis_flip and spec.axis == "delta"
-    columns = {"axis_value": (-values if flip else values).astype(object),
+    columns = {"axis_value": (-values if spec.axis_flip else values
+                              ).astype(object),
                **{k: np.full(len(values), "", dtype=object)
                   for k in ROW_FIELDS[1:]}}
     if spec.method != "lindblad":
@@ -223,7 +220,7 @@ def figure_dataset(figure_id: str, outdir, points: int = 401,
                          % (figure_id, FIGURE_IDS))
     preset, fixed, axis, (lo, hi), flip, method, cavity, fld, values = \
         _FIGURES[figure_id]
-    internal_rng = (-hi, -lo) if (flip and axis == "delta") else (lo, hi)
+    internal_rng = (-hi, -lo) if flip else (lo, hi)
     written = []
     curve_meta = []
     for i, val in enumerate(values):

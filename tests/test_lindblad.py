@@ -9,9 +9,8 @@ from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
                                SteadyStateConvergenceError,
                                SteadyStateResidualError,
                                UnphysicalStateError, check_density_matrix,
-                               evolve, g2_from_rho, g2_mode, liouvillian,
-                               steady_g2, steady_rho, steady_rho_stack,
-                               steady_state, steady_state_with_diagnostics)
+                               g2_from_rho, g2_mode, liouvillian, steady_g2,
+                               steady_rho, steady_rho_stack, steady_state)
 from blockade.model import (SystemParams, effective_hamiltonian,
                             non_hermitian_hamiltonian, strong_params,
                             weak_params)
@@ -65,13 +64,22 @@ def test_driven_damped_coherent_occupation():
 
 
 def test_steady_state_residual_and_asymmetry():
+    # steady_state gates the raw solution's asymmetry at HERM_TOL itself
     basis = FockBasis(3, 3)
     for p in (weak_params(delta=7.3e-5, lambda_gain=0.93e-6),
               strong_params(delta=-0.024, lambda_gain=1.1e-6)):
-        rho, diag = steady_state_with_diagnostics(liouvillian(p, basis))
-        assert diag["residual_inf"] <= 1e-10
-        assert diag["hermitization_asymmetry"] <= 1e-10
-        check_density_matrix(rho)
+        liouv = liouvillian(p, basis)
+        assert np.max(np.abs(liouv @ steady_state(liouv).ravel())) <= 1e-10
+
+
+def test_steady_state_rejects_an_asymmetric_raw_solution():
+    # row 1 of this L sets vec(rho)[1] = rho[0, 1] to 1e-6 rho[0, 0] and
+    # leaves rho[1, 0] = 0: asymmetric by 1e-6, though its Hermitized form
+    # passes the trace and eigenvalue checks
+    m = np.eye(16, dtype=complex)
+    m[1, 0] = -1e-6
+    with pytest.raises(UnphysicalStateError, match="Hermiticity violation"):
+        steady_state(m)
 
 
 def test_dimension_guard():
@@ -80,41 +88,37 @@ def test_dimension_guard():
         liouvillian(weak_params(), FockBasis(10, 10))
 
 
-def test_evolve_exponential_decay():
-    # undriven single excitation decays as exp(-kappa t)
+def test_liouvillian_exponential_decay():
+    # undriven single excitation decays as exp(-kappa t): rho(t) = exp(L t)
+    # rho(0), from the eigendecomposition of L
     basis = FockBasis(2, 2)
     p = weak_params(drive_E=0.0, hop_J=0.0, lambda_gain=0.0)
-    liouv = liouvillian(p, basis)
+    lam, vecs = np.linalg.eig(liouvillian(p, basis))
     rho0 = np.zeros((basis.dim, basis.dim), dtype=complex)
     rho0[basis.flatten(1, 0), basis.flatten(1, 0)] = 1.0
     t = 1.0 / p.kappa
-    rho = evolve(liouv, rho0, t, dt=0.02 / p.kappa)
+    rho = (vecs @ (np.exp(lam * t) * np.linalg.solve(vecs, rho0.ravel()))
+           ).reshape(basis.dim, basis.dim)
     a1, _ = two_mode_ops(basis)
     n1 = np.real(np.trace(a1.conj().T @ a1 @ rho))
-    assert n1 == pytest.approx(np.exp(-1.0), abs=1e-6)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
+    assert n1 == pytest.approx(np.exp(-1.0), abs=1e-12)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_evolve_relaxes_to_steady_state():
-    basis = FockBasis(2, 2)
-    p = weak_params(delta=1e-3, lambda_gain=0.93e-6)
-    liouv = liouvillian(p, basis)
-    rho_ss = steady_state(liouv)
-    vac = np.zeros((basis.dim, basis.dim), dtype=complex)
-    vac[0, 0] = 1.0
-    rho_t = evolve(liouv, vac, 40.0 / p.kappa, dt=0.02 / p.kappa)
-    w = np.linalg.eigvalsh(rho_t - rho_ss)
-    assert 0.5 * np.sum(np.abs(w)) < 1e-6      # trace distance
-
-
-def test_evolve_aborts_on_unstable_step():
-    basis = FockBasis(2, 2)
-    p = weak_params()
-    liouv = liouvillian(p, basis)
-    rho0 = np.zeros((basis.dim, basis.dim), dtype=complex)
-    rho0[basis.flatten(2, 2), basis.flatten(2, 2)] = 1.0
-    with pytest.raises(RuntimeError, match="trace drift"):
-        evolve(liouv, rho0, 60000.0, dt=1500.0)
+def test_liouvillian_spectrum_relaxes_to_steady_state():
+    # one zero eigenvalue, whose trace-1 eigenvector is steady_state; every
+    # other mode decays, the slowest (a one-photon coherence) at ~kappa/2
+    basis = FockBasis(3, 3)
+    for p in (weak_params(delta=1e-3, lambda_gain=0.93e-6),
+              strong_params(delta=-0.024, lambda_gain=1.1e-6)):
+        liouv = liouvillian(p, basis)
+        lam, vecs = np.linalg.eig(liouv)
+        k = np.argmin(np.abs(lam))
+        assert abs(lam[k]) <= 1e-12 * p.kappa
+        assert np.delete(lam, k).real.max() <= -0.4 * p.kappa
+        rho = vecs[:, k].reshape(basis.dim, basis.dim)
+        rho_ss = steady_state(liouv)
+        assert np.abs(rho / np.trace(rho) - rho_ss).max() <= 1e-12
 
 
 def test_g2_fock_state_zero():

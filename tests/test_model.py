@@ -271,6 +271,9 @@ def test_load_params_custom_omega(tmp_path):
     ({"hop_J_hz": {"value": 1.0}}, "hop_J_hz must be a number"),
     ({"drive_E": "strong"}, "drive_E must be a number"),
     ({"omega_m_hz": None, "delta_hz": 100.0}, "omega_m_hz must be a number"),
+    ({"g_om": 0.042, "mu": 0.0017},
+     r"mu = 0.0017 differs from g_om\*\*2 = 0.0017640000000000002"),
+    ({"mu": 0.04}, r"mu = 0.04 differs from g_om\*\*2 = 0.0"),
 ])
 def test_load_params_rejects_bad_files(tmp_path, content, match):
     path = tmp_path / "p.json"

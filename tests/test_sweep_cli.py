@@ -34,6 +34,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(axis="delta", range=(0, 1), points=5, base=weak_params(),
                   method="bogus")
+    for axis in ("lambda", "J", "g"):       # the flip negates delta only
+        with pytest.raises(ValueError, match="delta axis only"):
+            SweepSpec(axis=axis, range=(0, 1e-3), points=5,
+                      base=weak_params(), axis_flip=True)
 
 
 def test_weak_dip_location_flipped_axis():
@@ -222,6 +226,37 @@ def test_cli_params(capsys):
     assert out["hop_J"] == pytest.approx(0.016)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--preset", "weak"],
+    ["--preset", "strong", "--g", "0.123", "--delta", "-0.024"],
+])
+def test_cli_params_output_reads_back(argv, tmp_path, capsys):
+    # what params prints, mu included, is a --params-file of the same rates
+    assert cli_main(["params"] + argv) == 0
+    printed = capsys.readouterr().out
+    (tmp_path / "p.json").write_text(printed)
+    assert cli_main(["params", "--params-file", str(tmp_path / "p.json")]) == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_master_equation_g2_needs_cutoff_2(tmp_path, capsys):
+    # at cutoff 1 no mode holds two photons, so g2 would read 0: rejected
+    # before any work wherever a master-equation g2 is asked for
+    with pytest.raises(ValueError, match="cutoff >= 2"):
+        steady_g2(weak_params(), cutoff=1)
+    assert cli_main(["figure", "2a", "--cutoff", "1", "--points", "3",
+                     "--out", str(tmp_path / "fig")]) == 1
+    assert "cutoff >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "fig").exists()
+    # the basis itself, the amplitude method and amplitude figures take it
+    assert steady_rho(weak_params(), FockBasis(1, 1))[0, 0].real > 0.99
+    assert cli_main(["g2", "--preset", "weak", "--cutoff", "1",
+                     "--method", "amp"]) == 0
+    assert cli_main(["figure", "3a", "--cutoff", "1", "--points", "3",
+                     "--out", str(tmp_path / "fig")]) == 0
+    capsys.readouterr()
+
+
 def test_cli_g2_at_weak_optimum(capsys):
     code = cli_main(["g2", "--preset", "weak", "--delta", "-0.73e-4",
                      "--lambda", "0.93e-6", "--cavity", "1"])
@@ -351,6 +386,12 @@ def test_no_search_fires_on_valid_runs(argv, tmp_path, no_search):
     ["params", "--params-file", {"kappa": [0.002]}],
     ["g2", "--params-file", {"hop_J": {"value": 0.0019}}],
     ["optimize", "--preset", "weak", "--starts", "4", "25001"],   # > 1e5
+    ["g2", "--preset", "weak", "--cutoff", "1", "--method", "me"],
+    ["sweep", "--preset", "weak", "--range", "-0.01", "0.01",
+     "--cutoff", "1"],
+    ["optimize", "--preset", "weak", "--starts", "4", "4", "--cutoff", "1"],
+    ["sweep", "--preset", "weak", "--axis", "g", "--range", "0", "0.1",
+     "--flip-axis"],
 ])
 def test_cli_configuration_errors_exit_1(argv, tmp_path, capsys, no_search):
     # a dict stands for a parameter file with that content
