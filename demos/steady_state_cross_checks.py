@@ -39,11 +39,11 @@ def main():
           % (g2, n, 4 * lin.drive_E ** 2 / lin.kappa ** 2))
 
     # 3. figure dataset regeneration
-    outdir = tempfile.mkdtemp(prefix="figure2a_")
-    paths = figure_dataset("2a", outdir, points=41)
-    print("figure 2(a) dataset written:")
-    for path in paths:
-        print("  ", path)
+    with tempfile.TemporaryDirectory(prefix="figure2a_") as outdir:
+        paths = figure_dataset("2a", outdir, points=41)
+        print("figure 2(a) dataset written (then removed):")
+        for path in paths:
+            print("  ", path)
 
 
 if __name__ == "__main__":

@@ -130,6 +130,12 @@ def analytic_coefficients(p: SystemParams) -> AmplitudeState:
                           c11=c11, c02=c02, c20=c20)
 
 
+def check_cavity(cavity: int) -> None:
+    """Raise ValueError unless cavity is 1 or 2."""
+    if cavity not in (1, 2):
+        raise ValueError("cavity must be 1 or 2")
+
+
 def g2_cavity_stack(c: np.ndarray, cavity: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """(g2, undefined) of one cavity at each row of an (N, 6) amplitude stack.
@@ -139,8 +145,7 @@ def g2_cavity_stack(c: np.ndarray, cavity: int
     nan, without a warning, where a power overflows.  hypot and
     pow() round as abs(complex) and float ** do, np.abs and ** not always.
     """
-    if cavity not in (1, 2):
-        raise ValueError("cavity must be 1 or 2")
+    check_cavity(cavity)
     two, one = (c[:, 5], c[:, 2]) if cavity == 1 else (c[:, 4], c[:, 1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return (2.0 * np.float_power(np.hypot(two.real, two.imag), 2)

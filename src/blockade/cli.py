@@ -27,16 +27,15 @@ import sys
 
 import numpy as np
 
-from .amplitude import (UndefinedCorrelationError, g2_from_amplitudes,
-                        steady_amplitudes)
-from .fock import g2_basis
+from .amplitude import UndefinedCorrelationError, g2_cavity, steady_amplitudes
+from .fock import g2_basis, two_mode_ops
 from .lindblad import (EmptyModeError, SingularLiouvillianError,
-                       UnphysicalStateError, steady_g2)
-from .model import SystemParams, load_params, strong_params, weak_params
-from .optimize import (STRONG_GRID, WEAK_GRID, SearchGrid, find_optimal_pairs,
-                       pairs_to_json)
-from .sweep import (FIGURE_IDS, SweepSpec, _metadata_path, figure_dataset,
-                    run_sweep, write_csv)
+                       UnphysicalStateError, g2_mode, steady_rho)
+from .model import PRESETS, SystemParams, load_params
+from .optimize import (GRIDS, ORACLE_CUTOFF, ORACLE_THRESHOLD, STRONG_GRID,
+                       SearchGrid, find_optimal_pairs, pairs_to_json)
+from .sweep import (AXES, FIGURE_IDS, SweepSpec, _metadata_path,
+                    figure_dataset, run_sweep, write_csv)
 
 SOLVER_ERRORS = (UndefinedCorrelationError, SingularLiouvillianError,
                  EmptyModeError, UnphysicalStateError, np.linalg.LinAlgError,
@@ -59,24 +58,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _base_params(args) -> SystemParams:
-    if getattr(args, "params_file", None):
+    if args.params_file:
         p = load_params(args.params_file)
-    elif args.preset == "weak":
-        p = weak_params()
-    elif args.preset == "strong":
-        p = strong_params()
+    elif args.preset:
+        p = PRESETS[args.preset]()
     else:
-        raise UsageError("choose --preset weak|strong or --params-file")
-    over = {}
-    if getattr(args, "delta", None) is not None:
-        over["delta"] = -args.delta     # reporting -> internal axis
-    if getattr(args, "J", None) is not None:
-        over["hop_J"] = args.J
-    if getattr(args, "g", None) is not None:
-        over["g_om"] = args.g
-    if getattr(args, "lambda_gain", None) is not None:
-        over["lambda_gain"] = args.lambda_gain
-    return p.replace(**over) if over else p
+        raise UsageError("choose --preset %s or --params-file"
+                         % "|".join(PRESETS))
+    # each override option by the field it sets; --delta is on the
+    # reporting axis, the opposite sign of the internal one
+    over = {"delta": None if args.delta is None else -args.delta,
+            "hop_J": args.J, "g_om": args.g, "lambda_gain": args.lambda_gain}
+    return p.replace(**{k: v for k, v in over.items() if v is not None})
 
 
 def _check_outputs(params_file, *paths) -> None:
@@ -94,7 +87,7 @@ def _check_outputs(params_file, *paths) -> None:
 
 
 def _add_common(sp):
-    sp.add_argument("--preset", choices=("weak", "strong"))
+    sp.add_argument("--preset", choices=PRESETS)
     sp.add_argument("--params-file", help="flat JSON parameter file")
     sp.add_argument("--delta", type=float,
                     help="detuning, reporting-axis sign convention")
@@ -114,8 +107,7 @@ def _g2_options(sp):
 
 def _sweep_options(sp):
     _add_common(sp)
-    sp.add_argument("--axis", choices=("delta", "lambda", "J", "g"),
-                    default="delta")
+    sp.add_argument("--axis", choices=AXES, default="delta")
     sp.add_argument("--range", nargs=2, type=float, required=True,
                     metavar=("LO", "HI"), help="internal-axis sweep range")
     sp.add_argument("--points", type=int, default=201)
@@ -127,7 +119,7 @@ def _sweep_options(sp):
 
 def _optimize_options(sp):
     _add_common(sp)
-    sp.set_defaults(cutoff=4)       # oracle certification runs at cutoff 4
+    sp.set_defaults(cutoff=ORACLE_CUTOFF)
     sp.add_argument("--cavity", type=int, choices=(1, 2), default=1)
     sp.add_argument("--delta-range", nargs=2, type=float, metavar=("LO", "HI"),
                     help="default: the --preset box, else STRONG_GRID's")
@@ -171,19 +163,17 @@ _METHOD = {"amp": "amplitude", "me": "lindblad", "both": "both"}
 
 def _cmd_g2(args) -> int:
     p = _base_params(args)
-    if args.method != "amp":
-        g2_basis(args.cutoff)
+    cavities = (1, 2) if args.cavity == "both" else (int(args.cavity),)
+    basis = None if args.method == "amp" else g2_basis(args.cutoff)
     out = {}
-    if args.method in ("amp", "both"):
-        g2_1, g2_2 = g2_from_amplitudes(steady_amplitudes(p))
-        out["g2_1_amp"], out["g2_2_amp"] = g2_1, g2_2
-    if args.method in ("me", "both"):
-        g2_1, g2_2, n1, n2 = steady_g2(p, cutoff=args.cutoff)
-        out.update(g2_1_me=g2_1, g2_2_me=g2_2, n1=n1, n2=n2)
-    def mode_of(key):           # "g2_1_amp" -> "1", "n2" -> "2"
-        return key.split("_")[1] if key.startswith("g2_") else key[-1]
-    if args.cavity in ("1", "2"):
-        out = {k: v for k, v in out.items() if mode_of(k) == args.cavity}
+    if args.method != "me":
+        s = steady_amplitudes(p)
+        out.update(("g2_%d_amp" % c, g2_cavity(s, c)) for c in cavities)
+    if basis is not None:
+        rho, ops = steady_rho(p, basis), two_mode_ops(basis)
+        g2_n = {c: g2_mode(rho, ops[c - 1]) for c in cavities}
+        out.update(("g2_%d_me" % c, g2_n[c][0]) for c in cavities)
+        out.update(("n%d" % c, g2_n[c][1]) for c in cavities)
     if not np.isfinite(list(out.values())).all():
         raise FloatingPointError("g2 not finite: %s" % out)
     print(json.dumps(out, indent=2, allow_nan=False))
@@ -204,11 +194,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     p = _base_params(args)
-    default = WEAK_GRID if args.preset == "weak" else STRONG_GRID
+    default = GRIDS.get(args.preset, STRONG_GRID)
     grid = SearchGrid(tuple(args.delta_range or default.delta_range),
                       tuple(args.lambda_range or default.lambda_range),
                       *(args.starts or (default.n_delta, default.n_lambda)))
-    thresh = None if args.keep_uncertified else 1e-2
+    thresh = None if args.keep_uncertified else ORACLE_THRESHOLD
     if args.out:
         _check_outputs(args.params_file, args.out)
     pairs = find_optimal_pairs(p, args.cavity, grid, g2_cutoff=args.cutoff,

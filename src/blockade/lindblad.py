@@ -351,8 +351,12 @@ def g2_stack(rhos: np.ndarray, a: np.ndarray
     each state of an (N, d, d) stack: g2 = <adag adag a a> / <adag a>**2,
     with both moments read from diag(rho), undefined where n <= 1e-30
     (empty, EmptyModeError).  n**2 is pow(), as Python's float ** rounds
-    it."""
-    n, two = _moments(_moment_weights(a), rhos)[:, :, 0].T
+    it.  A mode that keeps fewer than two photons, where g2 would read 0,
+    raises InvalidCutoffError as ``g2_basis`` does."""
+    weights = _moment_weights(a)
+    if not weights[1].any():        # no pair weight: at most one photon
+        g2_basis(int(weights[0].max()))
+    n, two = _moments(weights, rhos)[:, :, 0].T
     with np.errstate(divide="ignore", invalid="ignore"):
         return two / np.float_power(n, 2), n, n <= 1e-30
 

@@ -104,6 +104,10 @@ def strong_params(**overrides) -> SystemParams:
     return p.replace(**overrides) if overrides else p
 
 
+# preset name -> its working point, for the command line's --preset
+PRESETS = {"weak": weak_params, "strong": strong_params}
+
+
 def check_range(name: str, rng) -> None:
     """Raise ValueError unless the range (lo, hi) has finite ends, lo < hi
     and a finite width (as Python floats hi - lo overflows to inf, with no
@@ -205,15 +209,17 @@ def hamiltonian_stack(p: SystemParams, table: tuple, **arrays) -> np.ndarray:
     return h
 
 
-def params_from_dict(d: dict, omega_m_hz: float = OMEGA_M_HZ_DEFAULT
-                     ) -> SystemParams:
+def params_from_dict(d: dict) -> SystemParams:
     """Build SystemParams from a flat mapping.
 
     Keys are the SystemParams field names with values in omega_m units;
     a sibling key with an `_hz` suffix is accepted instead (not as well) and
-    divided by omega_m_hz (both in the same angular-frequency convention).
-    A ``mu`` key, as ``SystemParams.to_dict`` writes it, must equal g_om**2.
+    divided by the mapping's ``omega_m_hz`` (OMEGA_M_HZ_DEFAULT if absent;
+    both in the same angular-frequency convention).  A ``mu`` key, as
+    ``SystemParams.to_dict`` writes it, must equal g_om**2.
     """
+    omega_m_hz = _number(d, "omega_m_hz") if "omega_m_hz" in d \
+        else OMEGA_M_HZ_DEFAULT
     if not 0 < omega_m_hz < math.inf:
         raise ValueError("omega_m_hz must be in (0, inf), got %r" % omega_m_hz)
     kw = {}
@@ -251,6 +257,4 @@ def load_params(path) -> SystemParams:
         d = json.load(fh)
     if not isinstance(d, dict):
         raise ValueError("%s: expected a JSON object" % path)
-    omega_m_hz = _number(d, "omega_m_hz") if "omega_m_hz" in d \
-        else OMEGA_M_HZ_DEFAULT
-    return params_from_dict(d, omega_m_hz=omega_m_hz)
+    return params_from_dict(d)

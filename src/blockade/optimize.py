@@ -22,9 +22,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .amplitude import steady_amplitude_stack, steady_amplitudes
+from .amplitude import check_cavity, steady_amplitude_stack, steady_amplitudes
 from .fock import g2_basis
-from .lindblad import steady_g2
+from .lindblad import (EmptyModeError, SingularLiouvillianError,
+                       UnphysicalStateError, steady_g2)
 from .model import SystemParams, check_range, cpb_detunings
 
 NEWTON_FD_STEP = 1e-9
@@ -36,6 +37,10 @@ BOX_PAD = 0.1
 CPB_PROXIMITY_KAPPAS = 5.0
 # a 1000 x 100 grid: the lockstep stacks peak near 420 MB, the search ~12 s
 MAX_STARTS = 100_000
+# a root is certified where the master-equation g2 at this cutoff is at most
+# this threshold
+ORACLE_THRESHOLD = 1e-2
+ORACLE_CUTOFF = 4
 # the stencil offsets dx_i (row i) and the ladder scales 1, 1/2, 1/4, ...
 _FD = NEWTON_FD_STEP * np.eye(2)
 _LADDER = np.ldexp(1.0, -np.arange(NEWTON_MAX_HALVINGS))
@@ -67,6 +72,7 @@ class SearchGrid:
 # Default search grids for the two regimes.
 WEAK_GRID = SearchGrid((-0.01, 0.01), (-5e-6, 5e-6), 24, 10)
 STRONG_GRID = SearchGrid((-0.02, 0.1), (-5e-6, 5e-6), 32, 10)
+GRIDS = {"weak": WEAK_GRID, "strong": STRONG_GRID}      # per model.PRESETS
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,7 @@ def target_residual(delta: float, lam: float, p: SystemParams,
     -delta and conjugates, so the value is smooth in (delta, lam) and
     vanishes exactly where the published optimal-pair condition holds.
     """
+    check_cavity(cavity)
     if p.theta != 0.0 or p.phi != 0.0:
         raise ValueError("target_residual requires theta = phi = 0")
     s = steady_amplitudes(p.replace(delta=-delta, lambda_gain=lam))
@@ -99,6 +106,7 @@ def target_residual_stack(x: np.ndarray, p: SystemParams, cavity: int
                           ) -> np.ndarray:
     """``target_residual`` at each row (delta, lambda) of x, bit for bit, as
     (N, 2) rows (real, imag)."""
+    check_cavity(cavity)
     if p.theta != 0.0 or p.phi != 0.0:
         raise ValueError("target_residual requires theta = phi = 0")
     c = steady_amplitude_stack(p, delta=-x[:, 0], lambda_gain=x[:, 1])
@@ -169,9 +177,9 @@ def _newton_paths(fun, starts: np.ndarray, box, tol: float) -> np.ndarray:
     return np.where((live & (_norms(f) <= tol))[:, None], x, np.nan)
 
 
-def find_optimal_pairs(p: SystemParams, cavity: int,
-                       grid: SearchGrid, g2_cutoff: int = 4,
-                       oracle_threshold: float | None = 1e-2
+def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
+                       g2_cutoff: int = ORACLE_CUTOFF,
+                       oracle_threshold: float | None = ORACLE_THRESHOLD
                        ) -> list[OptimalPair]:
     """All distinct antibunching roots reachable from the grid starts.
 
@@ -183,17 +191,21 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
     cavity, and is classified.
 
     A returned pair is certified by the master-equation oracle: roots whose
-    exact g2 at the drive ``p.drive_E`` exceeds ``oracle_threshold`` are
-    dropped.  A root zeroes the two-photon amplitude of the n1 + n2 <= 2
+    exact g2 at the drive ``p.drive_E`` is not at most ``oracle_threshold``
+    are dropped.  A root zeroes the two-photon amplitude of the n1 + n2 <= 2
     hierarchy only; at finite drive the exact g2 there is not zero but
     scales as (E/kappa)^2, so certification depends on the drive: at the
     weak preset (E = 0.02 kappa) the 2nd and 3rd roots sit at ~1.1e-2 and
     are dropped, while at half that drive with lambda quartered
     (lambda_opt scales as E^2) they sit at ~3e-3.  Roots on two-photon
     resonances, where the hierarchy breaks down entirely, are dropped too.
-    Pass ``oracle_threshold=None`` to keep every root.  An oracle cutoff
-    that ``g2_basis`` rejects raises InvalidCutoffError before the search.
+    A root whose oracle solve fails (SingularLiouvillianError and its
+    subclasses, UnphysicalStateError, EmptyModeError) gets g2_check NaN,
+    and is dropped as well.  Pass ``oracle_threshold=None`` to keep every
+    root.  An oracle cutoff that ``g2_basis`` rejects, or a cavity other
+    than 1 and 2, raises before the search.
     """
+    check_cavity(cavity)
     g2_basis(g2_cutoff)
     if p.drive_E <= 0:
         return []
@@ -211,9 +223,13 @@ def find_optimal_pairs(p: SystemParams, cavity: int,
     pairs = []
     for x in sorted(roots, key=lambda r: r[0]):
         resid = abs(target_residual(x[0], x[1], p, cavity))
-        g2 = steady_g2(p.replace(delta=-x[0], lambda_gain=x[1]),
-                       cutoff=g2_cutoff)[cavity - 1]
-        if oracle_threshold is not None and g2 > oracle_threshold:
+        try:
+            g2 = steady_g2(p.replace(delta=-x[0], lambda_gain=x[1]),
+                           cutoff=g2_cutoff)[cavity - 1]
+        except (SingularLiouvillianError, UnphysicalStateError,
+                EmptyModeError):
+            g2 = np.nan
+        if oracle_threshold is not None and not g2 <= oracle_threshold:
             continue
         pair = OptimalPair(delta_opt=float(x[0]), lambda_opt=float(x[1]),
                            residual=float(resid), cavity=cavity, g2_check=g2)
@@ -241,4 +257,6 @@ def classify_mechanism(pair: OptimalPair, p: SystemParams) -> OptimalPair:
 
 
 def pairs_to_json(pairs: list[OptimalPair]) -> str:
-    return json.dumps([asdict(p) for p in pairs], indent=2)
+    """The pairs as a JSON list; an uncertified NaN g2_check as null."""
+    return json.dumps([dict(asdict(q), g2_check=None if np.isnan(q.g2_check)
+                            else q.g2_check) for q in pairs], indent=2)

@@ -16,10 +16,12 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
-def test_demo_runs(path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+def test_demo_runs(path, tmp_path):
+    # a demo's temporary files are gone when it exits
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, path], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert os.listdir(tmp_path) == []

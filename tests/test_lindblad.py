@@ -3,7 +3,7 @@ import pytest
 
 import blockade.lindblad
 from blockade.cli import cli_main
-from blockade.fock import FockBasis, two_mode_ops
+from blockade.fock import FockBasis, InvalidCutoffError, two_mode_ops
 from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
                                SingularLiouvillianError,
                                SteadyStateConvergenceError,
@@ -129,6 +129,26 @@ def test_g2_fock_state_zero():
     g2, n = g2_mode(rho, a1)
     assert g2 == 0.0 and n == pytest.approx(1.0)
     with pytest.raises(EmptyModeError):
+        g2_mode(rho, a2)
+
+
+def test_g2_needs_a_mode_that_holds_two_photons():
+    # a mode cut at one photon has no pair moment, so its g2 would read 0,
+    # as perfect antibunching: refused as g2_basis refuses cutoff 1
+    basis = FockBasis(1, 1)
+    rho = steady_rho(weak_params(), basis)
+    a1, a2 = two_mode_ops(basis)
+    for a in (a1, a2):
+        with pytest.raises(InvalidCutoffError, match="cutoff >= 2"):
+            g2_mode(rho, a)
+    with pytest.raises(InvalidCutoffError, match="cutoff >= 2"):
+        g2_from_rho(rho, a1, a2)
+    # only the mode that is cut at one photon
+    basis = FockBasis(2, 1)
+    rho = steady_rho(weak_params(), basis)
+    a1, a2 = two_mode_ops(basis)
+    assert g2_mode(rho, a1)[0] > 0
+    with pytest.raises(InvalidCutoffError, match="got 1"):
         g2_mode(rho, a2)
 
 

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import blockade
 from blockade.fock import FockBasis, two_mode_ops
-from blockade.model import (OMEGA_M_HZ_DEFAULT, STACKED_FIELDS, SystemParams,
-                            cpb_detunings, effective_hamiltonian,
-                            hamiltonian_stack, ladder_table, load_params,
+from blockade.model import (OMEGA_M_HZ_DEFAULT, PRESETS, STACKED_FIELDS,
+                            SystemParams, cpb_detunings,
+                            effective_hamiltonian, hamiltonian_stack,
+                            ladder_table, load_params,
                             non_hermitian_hamiltonian, params_from_dict,
                             stacked_rates, strong_params, weak_params)
 
@@ -239,6 +241,20 @@ def test_params_from_dict_plain_and_hz():
     assert q.delta == pytest.approx(-0.73e-4, rel=5e-3)
     with pytest.raises(ValueError):
         params_from_dict({"bogus": 1.0})
+
+
+def test_params_from_dict_reads_omega_m_hz_from_the_mapping():
+    d = {"delta_hz": 100.0, "omega_m_hz": 1000.0}
+    assert params_from_dict(d).delta == pytest.approx(0.1)
+    with pytest.raises(ValueError, match="omega_m_hz"):
+        params_from_dict(dict(d, omega_m_hz=0.0))
+    with pytest.raises(TypeError):      # no second way to set it
+        params_from_dict({"delta_hz": 100.0}, omega_m_hz=1000.0)
+
+
+def test_presets_registry():
+    assert PRESETS == {"weak": weak_params, "strong": strong_params}
+    assert "PRESETS" not in blockade.__all__
 
 
 def test_omega_m_default():

@@ -6,8 +6,11 @@ import pytest
 import blockade.lindblad
 import blockade.optimize
 from blockade.amplitude import lambda_gamma
-from blockade.model import SystemParams, strong_params, weak_params
-from blockade.optimize import (BOX_PAD, MAX_STARTS, NEWTON_FD_STEP,
+from blockade.cli import cli_main
+from blockade.lindblad import (EmptyModeError, SteadyStateConvergenceError,
+                               UnphysicalStateError)
+from blockade.model import PRESETS, SystemParams, strong_params, weak_params
+from blockade.optimize import (BOX_PAD, GRIDS, MAX_STARTS, NEWTON_FD_STEP,
                                NEWTON_MAX_HALVINGS, NEWTON_MAX_ITER,
                                STRONG_GRID, WEAK_GRID, OptimalPair,
                                SearchGrid, _newton_paths, _norms,
@@ -459,3 +462,70 @@ def test_pairs_to_json_fields():
     assert data == [{"delta_opt": 0.024, "lambda_opt": 1.1e-6,
                      "residual": 1e-21, "cavity": 1, "g2_check": 5e-4,
                      "mechanism": "CPB", "proximity": "delta_minus"}]
+
+
+def test_search_grids_per_preset():
+    assert set(GRIDS) == set(PRESETS)
+    assert GRIDS["weak"] is WEAK_GRID and GRIDS["strong"] is STRONG_GRID
+
+
+@pytest.mark.parametrize("cavity", [0, 3])
+def test_cavity_must_be_1_or_2_before_any_solve(monkeypatch, cavity):
+    # any cavity but 1 read cavity 2's amplitude, and the oracle's index
+    # then picked another entry of (g2_1, g2_2, n1, n2)
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the cavity")
+
+    for name in ("steady_amplitude_stack", "steady_amplitudes", "steady_g2"):
+        monkeypatch.setattr(blockade.optimize, name, no_solve)
+    p = weak_params()
+    for call in (lambda: find_optimal_pairs(p, cavity, WEAK_GRID),
+                 lambda: find_optimal_pairs(p.replace(drive_E=0.0), cavity,
+                                            WEAK_GRID),
+                 lambda: target_residual(0.0, 0.0, p, cavity),
+                 lambda: target_residual_stack(np.zeros((1, 2)), p, cavity)):
+        with pytest.raises(ValueError, match="cavity must be 1 or 2"):
+            call()
+
+
+@pytest.mark.parametrize("failure", [
+    SteadyStateConvergenceError("no convergence"),
+    UnphysicalStateError("negative eigenvalue"),
+    EmptyModeError("mode occupation underflows"),
+    None,                                   # no error, but a NaN g2
+])
+def test_failed_oracle_solve_leaves_its_root_uncertified(monkeypatch,
+                                                          failure):
+    # one oracle call per root either way; a failed one drops the root,
+    # or keeps it with a NaN g2_check (JSON null) when nothing is dropped
+    calls = []
+
+    def oracle(p, cutoff):
+        calls.append(p)
+        if failure is not None:
+            raise failure
+        return (np.nan,) * 4
+
+    monkeypatch.setattr(blockade.optimize, "steady_g2", oracle)
+    grid = SearchGrid(WEAK_GRID.delta_range, WEAK_GRID.lambda_range, 4, 4)
+    assert find_optimal_pairs(weak_params(), 1, grid) == []
+    roots = len(calls)
+    assert roots >= 1
+    kept = find_optimal_pairs(weak_params(), 1, grid, oracle_threshold=None)
+    assert len(kept) == roots and len(calls) == 2 * roots
+    assert all(np.isnan(q.g2_check) for q in kept)
+    assert all(q["g2_check"] is None
+               for q in json.loads(pairs_to_json(kept)))
+
+
+def test_unconverged_oracle_does_not_end_the_search(capsys):
+    # at |J| = 500 kappa the jump map does not converge at the box's one
+    # root (reporting delta 0.039975, lambda -7.99e-7)
+    argv = ["optimize", "--preset", "strong", "--J", "-1",
+            "--starts", "4", "4"]
+    assert cli_main(argv) == 0
+    assert all(q["g2_check"] <= 1e-2
+               for q in json.loads(capsys.readouterr().out))
+    assert cli_main(argv + ["--keep-uncertified"]) == 0
+    [root] = json.loads(capsys.readouterr().out)
+    assert root["delta_opt"] == pytest.approx(0.039975, rel=1e-4)

@@ -267,6 +267,30 @@ def test_cli_g2_at_weak_optimum(capsys):
     assert "g2_2_amp" not in out
 
 
+@pytest.mark.parametrize("method, keys", [
+    ("amp", ["g2_1_amp"]),
+    ("me", ["g2_1_me", "n1"]),
+    ("both", ["g2_1_amp", "g2_1_me", "n1"]),
+])
+def test_cli_g2_computes_only_the_requested_cavity(method, keys, capsys):
+    # at J = 0 and no gain cavity 2 stays empty, so its g2 is undefined;
+    # cavity 1's is not, and is all that --cavity 1 asks for
+    assert cli_main(["g2", "--preset", "weak", "--J", "0", "--cavity", "1",
+                     "--method", method]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == keys
+
+
+def test_cli_g2_one_cavity_equals_its_share_of_both(capsys):
+    assert cli_main(["g2", "--preset", "strong"]) == 0
+    both = json.loads(capsys.readouterr().out)
+    assert list(both) == ["g2_1_amp", "g2_2_amp", "g2_1_me", "g2_2_me",
+                          "n1", "n2"]
+    for c in "12":
+        assert cli_main(["g2", "--preset", "strong", "--cavity", c]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            k % c: both[k % c] for k in ("g2_%s_amp", "g2_%s_me", "n%s")}
+
+
 def test_cli_negative_scientific_notation_values():
     args = build_parser().parse_args(
         ["g2", "--preset", "weak", "--delta", "-0.73e-4"])
