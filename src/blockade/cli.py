@@ -32,7 +32,7 @@ from .fock import g2_basis, two_mode_ops
 from .lindblad import (EmptyModeError, SingularLiouvillianError,
                        UnphysicalStateError, g2_mode, steady_rho)
 from .model import PRESETS, SystemParams, load_params
-from .optimize import (GRIDS, ORACLE_CUTOFF, ORACLE_THRESHOLD, STRONG_GRID,
+from .optimize import (ORACLE_CUTOFF, ORACLE_THRESHOLD, STRONG_GRID, WEAK_GRID,
                        SearchGrid, find_optimal_pairs, pairs_to_json)
 from .sweep import (AXES, FIGURE_IDS, SweepSpec, _metadata_path,
                     figure_dataset, run_sweep, write_csv)
@@ -194,7 +194,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     p = _base_params(args)
-    default = GRIDS.get(args.preset, STRONG_GRID)
+    default = WEAK_GRID if args.preset == "weak" else STRONG_GRID
     grid = SearchGrid(tuple(args.delta_range or default.delta_range),
                       tuple(args.lambda_range or default.lambda_range),
                       *(args.starts or (default.n_delta, default.n_lambda)))

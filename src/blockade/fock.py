@@ -50,9 +50,14 @@ def g2_basis(cutoff: int) -> FockBasis:
     """FockBasis(cutoff, cutoff) for a master-equation g2(0), which needs
     cutoff >= 2: at cutoff 1 no mode holds two photons, so g2 reads 0."""
     if cutoff < 2:
-        raise InvalidCutoffError("g2(0) needs a cutoff >= 2 (no mode holds "
-                                 "two photons at cutoff 1), got %r" % cutoff)
+        raise g2_cutoff_error(cutoff)
     return FockBasis(cutoff, cutoff)
+
+
+def g2_cutoff_error(cutoff: int) -> InvalidCutoffError:
+    """The error of a g2(0) read where a mode is cut at ``cutoff`` < 2."""
+    return InvalidCutoffError("g2(0) needs a cutoff >= 2 (no mode holds two "
+                              "photons at cutoff 1), got %r" % cutoff)
 
 
 def annihilation(n_max: int) -> np.ndarray:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import FockBasis, g2_basis, two_mode_ops
+from .fock import FockBasis, g2_basis, g2_cutoff_error, two_mode_ops
 from .model import (SystemParams, hamiltonian_stack, ladder_table,
                     non_hermitian_hamiltonian)
 # not called here; perfbench's tracer wraps it here by name
@@ -352,10 +352,10 @@ def g2_stack(rhos: np.ndarray, a: np.ndarray
     with both moments read from diag(rho), undefined where n <= 1e-30
     (empty, EmptyModeError).  n**2 is pow(), as Python's float ** rounds
     it.  A mode that keeps fewer than two photons, where g2 would read 0,
-    raises InvalidCutoffError as ``g2_basis`` does."""
+    raises InvalidCutoffError (``g2_cutoff_error``)."""
     weights = _moment_weights(a)
     if not weights[1].any():        # no pair weight: at most one photon
-        g2_basis(int(weights[0].max()))
+        raise g2_cutoff_error(int(weights[0].max()))
     n, two = _moments(weights, rhos)[:, :, 0].T
     with np.errstate(divide="ignore", invalid="ignore"):
         return two / np.float_power(n, 2), n, n <= 1e-30

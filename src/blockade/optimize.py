@@ -72,7 +72,6 @@ class SearchGrid:
 # Default search grids for the two regimes.
 WEAK_GRID = SearchGrid((-0.01, 0.01), (-5e-6, 5e-6), 24, 10)
 STRONG_GRID = SearchGrid((-0.02, 0.1), (-5e-6, 5e-6), 32, 10)
-GRIDS = {"weak": WEAK_GRID, "strong": STRONG_GRID}      # per model.PRESETS
 
 
 @dataclass(frozen=True)
