@@ -14,7 +14,6 @@ import tempfile
 import numpy as np
 
 from blockade import FockBasis, weak_params
-from blockade.fock import two_mode_ops
 from blockade.lindblad import g2_mode, liouvillian, steady_rho, steady_state
 from blockade.model import SystemParams
 from blockade.sweep import figure_dataset
@@ -33,8 +32,7 @@ def main():
     # 2. coherent limit
     lin = SystemParams(kappa=0.002, drive_E=4e-5)
     basis5 = FockBasis(5, 5)
-    a1, _ = two_mode_ops(basis5)
-    g2, n = g2_mode(steady_state(liouvillian(lin, basis5)), a1)
+    g2, n = g2_mode(steady_state(liouvillian(lin, basis5)), basis5, 1)
     print("linear cavity: g2 = %.6f (expect 1), n = %.3e (expect %.3e)"
           % (g2, n, 4 * lin.drive_E ** 2 / lin.kappa ** 2))
 

@@ -26,7 +26,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .model import SystemParams, hamiltonian_stack, ladder_table
+from .model import SystemParams, check_cavity, hamiltonian_stack, ladder_table
 # not called here; perfbench's tracer wraps it here by name
 from .model import non_hermitian_hamiltonian  # noqa: F401
 
@@ -128,12 +128,6 @@ def analytic_coefficients(p: SystemParams) -> AmplitudeState:
            + 2j * lam_g * gam * lam ** 3) / (2 * np.sqrt(2) * gam * d2 * d1)
     return AmplitudeState(c00=1.0 + 0.0j, c01=c01, c10=c10,
                           c11=c11, c02=c02, c20=c20)
-
-
-def check_cavity(cavity: int) -> None:
-    """Raise ValueError unless cavity is 1 or 2."""
-    if cavity not in (1, 2):
-        raise ValueError("cavity must be 1 or 2")
 
 
 def g2_cavity_stack(c: np.ndarray, cavity: int

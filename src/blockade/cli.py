@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .amplitude import UndefinedCorrelationError, g2_cavity, steady_amplitudes
-from .fock import g2_basis, two_mode_ops
+from .fock import g2_basis
 from .lindblad import (EmptyModeError, SingularLiouvillianError,
                        UnphysicalStateError, g2_mode, steady_rho)
 from .model import PRESETS, SystemParams, load_params
@@ -170,8 +170,8 @@ def _cmd_g2(args) -> int:
         s = steady_amplitudes(p)
         out.update(("g2_%d_amp" % c, g2_cavity(s, c)) for c in cavities)
     if basis is not None:
-        rho, ops = steady_rho(p, basis), two_mode_ops(basis)
-        g2_n = {c: g2_mode(rho, ops[c - 1]) for c in cavities}
+        rho = steady_rho(p, basis)
+        g2_n = {c: g2_mode(rho, basis, c) for c in cavities}
         out.update(("g2_%d_me" % c, g2_n[c][0]) for c in cavities)
         out.update(("n%d" % c, g2_n[c][1]) for c in cavities)
     if not np.isfinite(list(out.values())).all():

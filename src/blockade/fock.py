@@ -30,10 +30,12 @@ class FockBasis:
     n_max_2: int
 
     def __post_init__(self):
-        if min(self.n_max_1, self.n_max_2) < 1 or self.dim > MAX_DIM:
+        cutoffs = (self.n_max_1, self.n_max_2)
+        if not (all(isinstance(n, (int, np.integer)) for n in cutoffs)
+                and min(cutoffs) >= 1 and self.dim <= MAX_DIM):
             raise InvalidCutoffError(
-                "cutoffs must be >= 1 with basis dimension <= %d, got (%r, %r)"
-                % (MAX_DIM, self.n_max_1, self.n_max_2))
+                "cutoffs must be integers >= 1 with basis dimension <= %d, "
+                "got %r" % (MAX_DIM, cutoffs))
 
     @property
     def dim(self) -> int:

@@ -32,19 +32,21 @@ one stacked eig and inv and one stacked step per iteration; each point
 keeps its own stopping rule and leaves the stack when it holds.  Each
 point's arithmetic is that of its one-point solve, whatever N is.  Memory
 is O(N d^2): a sweep feeds the stack in chunks of
-``sweep.STACK_ENTRIES // d**2`` points.  ``steady_rho`` is the N = 1 case,
-as ``check_density_matrix`` is of the check that the points finishing in
-one step take together, and ``g2_mode`` of ``g2_stack``, which reads both
-moments from diag(rho).
+``sweep.STACK_ENTRIES // d**2`` points.  ``steady_rho``,
+``check_density_matrix`` and ``g2_mode`` are the N = 1 cases of the solve,
+of the density-matrix check and of ``g2_stack``.
 
-``liouvillian`` builds the dense (d*d, d*d) superoperator, with density
-matrices vectorized row-major (numpy ravel order), so vec(A @ rho @ B) =
-kron(A, B.T) @ vec(rho):
+The photon numbers of the jump and of the moments <n_j> and <adag_j^2 a_j^2>
+come from ``model.ladder_table``, as H_nh's do, so no solve builds a ladder
+operator; the g2 readers take the state's FockBasis and a cavity, 1 or 2.
+``liouvillian`` builds the dense (d*d, d*d) superoperator from
+``fock.two_mode_ops``, with density matrices vectorized row-major (numpy
+ravel order), so vec(A @ rho @ B) = kron(A, B.T) @ vec(rho):
 L = -i (H_nh (x) 1 - 1 (x) conj(H_nh)) + kappa sum_j a_j (x) conj(a_j).
 With ``steady_state`` (a trace-constrained linear solve, O(d^6)) it is the
-reference that the tests and demos check ``steady_rho`` against; neither is
-public API.  As the only code that builds a superoperator it alone refuses
-d*d > 1e4 (cutoff 9 takes 1.6 GB); the rest takes any basis.
+independent reference that the tests and demos check ``steady_rho``
+against; neither is public API.  As the only code that builds a
+superoperator it alone refuses d*d > 1e4 (cutoff 9 takes 1.6 GB).
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import FockBasis, g2_basis, g2_cutoff_error, two_mode_ops
-from .model import (SystemParams, hamiltonian_stack, ladder_table,
-                    non_hermitian_hamiltonian)
+from .model import (SystemParams, check_cavity, hamiltonian_stack,
+                    ladder_table, non_hermitian_hamiltonian)
 # not called here; perfbench's tracer wraps it here by name
 from .model import effective_hamiltonian  # noqa: F401
 
@@ -68,12 +70,7 @@ EIG_FLOOR = -1e-8
 # changes non-monotone, and the test never fires while they still fall).
 # A moment below MOMENT_FLOOR counts by its change relative to MOMENT_FLOOR:
 # a mode that the dynamics leaves empty carries rounding noise, not a value.
-# A point that stops is kept only if its last residual R, scaled as
-# max|R| / (kappa (n_1 + n_2)), is at most RESIDUAL_GATE: a stop in rounding
-# noise away from the fixed point is flagged, not returned.
-# An eigenstate of H_nh whose decay rate |Im lam| is below DARK_TOL kappa (the
-# dressed vacuum of an undriven or barely driven point) gets no correction:
-# the trace normalization sets its weight.
+# RESIDUAL_GATE and DARK_TOL: see the module docstring.
 MOMENT_TOL = 1e-14
 STALL_TOL = 1e-9
 STALL_STEPS = 2
@@ -143,10 +140,7 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     """Steady density matrices by the defect-corrected jump map, one per
     point of ``stacked_rates(p, arrays)``.
 
-    See the module docstring for the method.  All points iterate together:
-    each step is one stacked residual, basis change, Hermitization, trace
-    normalization and mixing step over the points not yet converged, and a
-    point leaves the stack when its own stopping rule holds.  The iteration
+    See the module docstring for the method and its stacking.  The iteration
     starts from the one-photon state of cavity 1, whose image is the vacuum
     propagated without jumps; the vacuum itself would be sent to zero
     (J(|0><0|) = 0).  From the second step on, the next iterate is the
@@ -156,9 +150,9 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     parities that slows the plain map when pair creation dominates the
     coherent drive, and keeps every iterate a density matrix.  A point's
     result is its last image, Hermitized, trace-normalized and checked by
-    ``check_density_matrix``.  Where H_nh annihilates the vacuum
-    (drive_E = lambda_gain = 0, or drive_E = 0 at cutoff 1) the vacuum is
-    returned: it is the steady state and D vanishes on it.
+    ``check_density_matrix``.  Where H_nh annihilates the vacuum (drive_E =
+    lambda_gain = 0, or drive_E = 0 at cutoff 1) the vacuum is returned: it
+    is the steady state and D vanishes on it.
 
     Returns the (N, d, d) states and per point "" or the name of the error
     that voids its state (NaN): SingularLiouvillianError where H_nh cannot
@@ -167,8 +161,8 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     where the residual of the last iterate, max|R| / (kappa (n_1 + n_2)),
     is above RESIDUAL_GATE (or NaN).
     """
-    h = hamiltonian_stack(p, ladder_table(basis), **arrays)
-    ops = two_mode_ops(basis)
+    table = ladder_table(basis)
+    h = hamiltonian_stack(p, table, **arrays)
     dark = ~h[:, :, 0].any(axis=1)      # H_nh |0> = 0: the vacuum is dark
     lam, v, w, ok = _diagonalize(h)
     live = np.flatnonzero(ok & ~dark)
@@ -190,12 +184,14 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     i0 = rate.argmin(axis=1)
     near = np.flatnonzero(rate.min(axis=1) < DARK_TOL * p.kappa)
     den[near, i0[near], i0[near]] = np.inf
-    # a_1 and a_2 shift the flat index by n_max_2 + 1 and by 1: the nonzero
-    # entries of a_j are the diagonal s_j at that offset.  So kappa J(rho) is
-    # a sum of shifted blocks (kappa s_j) rho' s_j; in complex and in this
+    # a_j lowers the flat index by m_j, that of mode j's one-photon state:
+    # its nonzero entries are s_j = sqrt(n_j) of the states from m_j on, on
+    # the diagonal at offset m_j (zero where n_j = 0).  So kappa J(rho) is a
+    # sum of shifted blocks (kappa s_j) rho' s_j; in complex and in this
     # order, it rounds as the dense products do.
-    shifts = [(m, np.diagonal(a, m))
-              for a, m in zip(ops, (basis.n_max_2 + 1, 1))]
+    one = basis.flatten(1, 0)
+    shifts = [(m, np.sqrt(n_j[m:]).astype(complex))
+              for n_j, m in zip(table[2], (one, basis.flatten(0, 1)))]
     left = [p.kappa * s[:, None] for _, s in shifts]
 
     def jump(r):
@@ -204,8 +200,7 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
             out[:, :-m, :-m] += k_s * r[:, m:, m:] * s
         return out
 
-    weights = _moment_weights(*ops)     # <n_1>, <n_2>, then pair moments
-    one = basis.flatten(1, 0)
+    weights = _moment_weights(table)
     rho = np.zeros(h.shape, dtype=complex)
     rho[:, one, one] = 1.0
     m_rho = _moments(weights, rho)
@@ -329,13 +324,12 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def _moment_weights(*modes: np.ndarray) -> np.ndarray:
-    """(2 M, d) weights of <adag a> of each of M modes, then of their
-    <adag adag a a>, on diag(rho).  Each a is an annihilation operator of a
-    FockBasis, so adag a is diagonal, with entries occ = |a|^2 summed over
-    each column, and adag adag a a = adag a (adag a - 1)."""
-    occ = np.stack([(a.conj() * a).real.sum(axis=0) for a in modes])
-    return np.concatenate([occ, occ * (occ - 1)])
+def _moment_weights(table: tuple) -> np.ndarray:
+    """(4, d) weights on diag(rho) of <n_1>, <n_2>, then <adag_j^2 a_j^2> =
+    n_j (n_j - 1), from a ``ladder_table``'s occupations sqrt(n)*sqrt(n)."""
+    occ, _, n = table[:3]
+    w = occ[n, 0]
+    return np.concatenate([w, w * (w - 1)])
 
 
 def _moments(weights: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -345,35 +339,37 @@ def _moments(weights: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return weights @ rhos.diagonal(axis1=1, axis2=2).real[:, :, None]
 
 
-def g2_stack(rhos: np.ndarray, a: np.ndarray
+def g2_stack(rhos: np.ndarray, basis: FockBasis, cavity: int
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g2, n, empty) of the mode of Fock-basis annihilation operator a at
-    each state of an (N, d, d) stack: g2 = <adag adag a a> / <adag a>**2,
-    with both moments read from diag(rho), undefined where n <= 1e-30
-    (empty, EmptyModeError).  n**2 is pow(), as Python's float ** rounds
-    it.  A mode that keeps fewer than two photons, where g2 would read 0,
-    raises InvalidCutoffError (``g2_cutoff_error``)."""
-    weights = _moment_weights(a)
-    if not weights[1].any():        # no pair weight: at most one photon
-        raise g2_cutoff_error(int(weights[0].max()))
+    """(g2, n, empty) of one cavity at each state of an (N, d, d) stack on
+    ``basis``: g2 = <adag adag a a> / <adag a>**2 from diag(rho), weighted
+    as in ``steady_rho_stack``, undefined where n <= 1e-30 (empty,
+    EmptyModeError).  n**2 is pow(), as Python's float ** rounds it.  A
+    cavity other than 1 or 2 raises ValueError; one cut below two photons,
+    where g2 would read 0, InvalidCutoffError (``g2_cutoff_error``)."""
+    check_cavity(cavity)
+    n_max = (basis.n_max_1, basis.n_max_2)[cavity - 1]
+    if n_max < 2:
+        raise g2_cutoff_error(n_max)
+    weights = _moment_weights(ladder_table(basis))[[cavity - 1, cavity + 1]]
     n, two = _moments(weights, rhos)[:, :, 0].T
     with np.errstate(divide="ignore", invalid="ignore"):
         return two / np.float_power(n, 2), n, n <= 1e-30
 
 
-def g2_mode(rho: np.ndarray, a: np.ndarray) -> tuple[float, float]:
-    """(g2, n) of one mode; see ``g2_stack``."""
-    g2, n, empty = g2_stack(rho[None], a)
+def g2_mode(rho: np.ndarray, basis: FockBasis, cavity: int
+            ) -> tuple[float, float]:
+    """(g2, n) of one cavity; see ``g2_stack``."""
+    g2, n, empty = g2_stack(rho[None], basis, cavity)
     if empty[0]:
         raise EmptyModeError("mode occupation %g underflows" % n[0])
     return float(g2[0]), float(n[0])
 
 
-def g2_from_rho(rho: np.ndarray, a1: np.ndarray, a2: np.ndarray
+def g2_from_rho(rho: np.ndarray, basis: FockBasis
                 ) -> tuple[float, float, float, float]:
-    """Exact (g2_1, g2_2, n1, n2) from a density matrix."""
-    g2_1, n1 = g2_mode(rho, a1)
-    g2_2, n2 = g2_mode(rho, a2)
+    """Exact (g2_1, g2_2, n1, n2) from a density matrix on ``basis``."""
+    (g2_1, n1), (g2_2, n2) = (g2_mode(rho, basis, c) for c in (1, 2))
     return g2_1, g2_2, n1, n2
 
 
@@ -385,6 +381,4 @@ def steady_g2(p: SystemParams, cutoff: int = 3, allow_large: bool = False
     ``allow_large`` is accepted and ignored; it lifted a retired guard.
     """
     basis = g2_basis(cutoff)
-    rho = steady_rho(p, basis)
-    a1, a2 = two_mode_ops(basis)
-    return g2_from_rho(rho, a1, a2)
+    return g2_from_rho(steady_rho(p, basis), basis)

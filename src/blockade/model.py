@@ -122,6 +122,12 @@ def check_range(name: str, rng) -> None:
                          % (name, (lo, hi)))
 
 
+def check_cavity(cavity: int) -> None:
+    """Raise ValueError unless cavity is 1 or 2."""
+    if cavity not in (1, 2):
+        raise ValueError("cavity must be 1 or 2")
+
+
 def cpb_detunings(p: SystemParams) -> tuple[float, float]:
     """Conventional-blockade dip locations (mu + J, mu - J).
 
@@ -242,10 +248,11 @@ def params_from_dict(d: dict) -> SystemParams:
 
 
 def _number(d: dict, key: str) -> float:
-    """d[key] as a float; a JSON null, list or object raises ValueError."""
-    try:
-        return float(d[key])
-    except (TypeError, ValueError):
+    """d[key] as a float; a JSON null, boolean, list or object, or an
+    integer beyond the float range, raises ValueError."""
+    try:        # float(True) would read 1.0
+        return float(None if isinstance(d[key], bool) else d[key])
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("%s must be a number, got %r"
                          % (key, d[key])) from None
 

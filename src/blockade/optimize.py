@@ -22,11 +22,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .amplitude import check_cavity, steady_amplitude_stack, steady_amplitudes
+from .amplitude import steady_amplitude_stack, steady_amplitudes
 from .fock import g2_basis
 from .lindblad import (EmptyModeError, SingularLiouvillianError,
                        UnphysicalStateError, steady_g2)
-from .model import SystemParams, check_range, cpb_detunings
+from .model import SystemParams, check_cavity, check_range, cpb_detunings
 
 NEWTON_FD_STEP = 1e-9
 NEWTON_MAX_ITER = 60
@@ -58,10 +58,11 @@ class SearchGrid:
     def __post_init__(self):
         for name in ("delta_range", "lambda_range"):
             check_range(name, getattr(self, name))
-        if (min(self.n_delta, self.n_lambda) < 4
-                or self.n_delta * self.n_lambda > MAX_STARTS):
-            raise ValueError("start counts must be >= 4 with at most %d "
-                             "starts" % MAX_STARTS)
+        counts = (self.n_delta, self.n_lambda)
+        if not (all(isinstance(n, (int, np.integer)) for n in counts)
+                and min(counts) >= 4 and counts[0] * counts[1] <= MAX_STARTS):
+            raise ValueError("start counts must be integers >= 4 with at "
+                             "most %d starts" % MAX_STARTS)
 
     def starts(self) -> np.ndarray:
         dd = np.linspace(*self.delta_range, self.n_delta)

@@ -23,13 +23,13 @@ import numpy as np
 
 from . import __version__
 from .amplitude import g2_cavity_stack, steady_amplitude_stack
+from .fock import g2_basis
+from .lindblad import g2_stack, steady_rho_stack
+from .model import SystemParams, check_range, strong_params, weak_params
 # not called here; perfbench's tracer wraps them here by name
 from .amplitude import g2_cavity, steady_amplitudes  # noqa: F401
-from .fock import g2_basis, two_mode_ops
-from .lindblad import g2_stack, steady_rho_stack
-# not called here; perfbench's tracer wraps them here by name
+from .fock import two_mode_ops  # noqa: F401
 from .lindblad import g2_mode, liouvillian, steady_state  # noqa: F401
-from .model import SystemParams, check_range, strong_params, weak_params
 
 AXES = ("delta", "lambda", "J", "g")
 _AXIS_FIELD = {"delta": "delta", "lambda": "lambda_gain",
@@ -70,8 +70,10 @@ class SweepSpec:
         if self.axis_flip and self.axis != "delta":
             raise ValueError("axis_flip negates a delta axis only, not %r"
                              % self.axis)
-        if not 2 <= self.points <= MAX_POINTS:
-            raise ValueError("points must be >= 2 and <= %d" % MAX_POINTS)
+        if not (isinstance(self.points, (int, np.integer))
+                and 2 <= self.points <= MAX_POINTS):
+            raise ValueError("points must be an integer >= 2 and <= %d"
+                             % MAX_POINTS)
         check_range("range", self.range)
         for value in self.range:        # the grid lies between its ends
             self.base.replace(**{_AXIS_FIELD[self.axis]: float(value)})
@@ -112,14 +114,13 @@ def _lindblad_columns(spec: SweepSpec, values: np.ndarray,
     of STACK_ENTRIES // d**2 points at a time."""
     cavities = (1, 2) if spec.cavity == "both" else (int(spec.cavity),)
     basis = g2_basis(spec.cutoff)
-    ops = two_mode_ops(basis)
     chunk = max(1, STACK_ENTRIES // basis.dim ** 2)
     for start in range(0, len(values), chunk):
         part = slice(start, start + chunk)
         rhos, errors = steady_rho_stack(spec.base, basis, **{
             _AXIS_FIELD[spec.axis]: values[part]})
         for cav in cavities:
-            g2, n, empty = g2_stack(rhos, ops[cav - 1])
+            g2, n, empty = g2_stack(rhos, basis, cav)
             for key, x in (("g2_%d_me" % cav, g2), ("n%d" % cav, n)):
                 columns[key][part] = np.where(empty, "err:EmptyModeError",
                                               x.astype(object))

@@ -35,16 +35,16 @@ def _report(n, ok, msg):
 
 
 def _steady(p, cutoff):
-    """(rho, (a1, a2), residual) from the shipped solver, ``steady_rho``;
-    the residual is the largest entry of S(rho) + kappa J(rho)."""
+    """(rho, basis, residual) from the shipped solver, ``steady_rho``; the
+    residual is the largest entry of S(rho) + kappa J(rho), from the ladder
+    operators of ``two_mode_ops``."""
     basis = FockBasis(cutoff, cutoff)
     rho = steady_rho(p, basis)
-    ops = two_mode_ops(basis)
     h = non_hermitian_hamiltonian(p, basis)
     resid = -1j * (h @ rho - rho @ h.conj().T)
-    for a in ops:
+    for a in two_mode_ops(basis):
         resid += p.kappa * a @ rho @ a.conj().T
-    return rho, ops, float(np.max(np.abs(resid)))
+    return rho, basis, float(np.max(np.abs(resid)))
 
 
 def _sweep_rows(base, internal_range, points, method="both", cutoff=3,
@@ -167,8 +167,8 @@ def test_criterion_3_cpb_dip_locations():
 def test_criterion_4_coherent_limit():
     p = SystemParams(kappa=0.002, drive_E=0.02 * 0.002)
     g2_amp = g2_cavity(steady_amplitudes(p), 1)
-    rho, (a1, _), residual = _steady(p, 6)
-    g2_me, n1 = g2_mode(rho, a1)        # cavity 2 is empty with J = 0
+    rho, basis, residual = _steady(p, 6)
+    g2_me, n1 = g2_mode(rho, basis, 1)  # cavity 2 is empty with J = 0
     n_expect = 4 * p.drive_E ** 2 / p.kappa ** 2
     ok = (abs(g2_amp - 1) <= 1e-3 and abs(g2_me - 1) <= 1e-3
           and abs(n1 - n_expect) / n_expect <= 0.01)
@@ -226,10 +226,10 @@ def test_criterion_6_physicality_and_cutoff_convergence():
             p = base.replace(delta=float(delta))
             g2 = {}
             for cutoff in (3, 4):
-                rho, ops, residual = _steady(p, cutoff)
+                rho, basis, residual = _steady(p, cutoff)
                 check_density_matrix(rho)       # trace/Hermiticity/positivity
                 worst_residual = max(worst_residual, residual)
-                g2[cutoff] = g2_from_rho(rho, *ops)[:2]
+                g2[cutoff] = g2_from_rho(rho, basis)[:2]
             for j in range(2):
                 if g2[4][j] >= 1e-3:
                     checked += 1
@@ -245,10 +245,10 @@ def test_criterion_6_physicality_and_cutoff_convergence():
         p = base.replace(delta=-d0, lambda_gain=l0)
         g2, top = {}, {}
         for cutoff in (9, 12):
-            rho, ops, residual = _steady(p, cutoff)
+            rho, basis, residual = _steady(p, cutoff)
             check_density_matrix(rho)
             worst_residual = max(worst_residual, residual)
-            g2[cutoff] = g2_from_rho(rho, *ops)[:2]
+            g2[cutoff] = g2_from_rho(rho, basis)[:2]
             top[cutoff] = _top_population(rho, cutoff)
         change = max(abs(g2[12][j] - g2[9][j]) / g2[12][j] for j in range(2))
         far_change = max(far_change, change)

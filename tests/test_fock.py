@@ -92,6 +92,11 @@ def test_basis_rejects_bad_cutoffs():
     for cutoffs in ((0, 2), (31, 32)):          # dim 3, dim 1056 > 1024
         with pytest.raises(InvalidCutoffError):
             FockBasis(*cutoffs)
+    # a non-integer count (dim 10.5) would fail only in the solve
+    for cutoffs in ((2.5, 2), (2, 2.0), ("2", 2), (None, 2)):
+        with pytest.raises(InvalidCutoffError, match="integers"):
+            FockBasis(*cutoffs)
+    assert FockBasis(np.int64(2), np.int32(3)).dim == 12
     assert FockBasis(31, 31).dim == 1024        # the largest basis
     with pytest.raises(IndexError):
         FockBasis(2, 2).flatten(3, 0)

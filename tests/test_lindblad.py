@@ -1,7 +1,12 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 
+import blockade.fock
 import blockade.lindblad
+import blockade.optimize
 from blockade.cli import cli_main
 from blockade.fock import FockBasis, InvalidCutoffError, two_mode_ops
 from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
@@ -9,8 +14,9 @@ from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
                                SteadyStateConvergenceError,
                                SteadyStateResidualError,
                                UnphysicalStateError, check_density_matrix,
-                               g2_from_rho, g2_mode, liouvillian, steady_g2,
-                               steady_rho, steady_rho_stack, steady_state)
+                               g2_from_rho, g2_mode, g2_stack, liouvillian,
+                               steady_g2, steady_rho, steady_rho_stack,
+                               steady_state)
 from blockade.model import (SystemParams, effective_hamiltonian,
                             non_hermitian_hamiltonian, strong_params,
                             weak_params)
@@ -57,8 +63,7 @@ def test_driven_damped_coherent_occupation():
     p = SystemParams(drive_E=4e-5, kappa=0.002)
     basis = FockBasis(5, 5)
     rho = steady_state(liouvillian(p, basis))
-    a1, _ = two_mode_ops(basis)
-    g2_1, n1 = g2_mode(rho, a1)
+    g2_1, n1 = g2_mode(rho, basis, 1)
     assert n1 == pytest.approx(4 * p.drive_E ** 2 / p.kappa ** 2, rel=1e-2)
     assert g2_1 == pytest.approx(1.0, abs=1e-3)
 
@@ -123,13 +128,12 @@ def test_liouvillian_spectrum_relaxes_to_steady_state():
 
 def test_g2_fock_state_zero():
     basis = FockBasis(2, 2)
-    a1, a2 = two_mode_ops(basis)
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
     rho[basis.flatten(1, 0), basis.flatten(1, 0)] = 1.0
-    g2, n = g2_mode(rho, a1)
+    g2, n = g2_mode(rho, basis, 1)
     assert g2 == 0.0 and n == pytest.approx(1.0)
     with pytest.raises(EmptyModeError):
-        g2_mode(rho, a2)
+        g2_mode(rho, basis, 2)
 
 
 def test_g2_needs_a_mode_that_holds_two_photons():
@@ -137,19 +141,17 @@ def test_g2_needs_a_mode_that_holds_two_photons():
     # as perfect antibunching: refused as g2_basis refuses cutoff 1
     basis = FockBasis(1, 1)
     rho = steady_rho(weak_params(), basis)
-    a1, a2 = two_mode_ops(basis)
-    for a in (a1, a2):
+    for cavity in (1, 2):
         with pytest.raises(InvalidCutoffError, match="cutoff >= 2"):
-            g2_mode(rho, a)
+            g2_mode(rho, basis, cavity)
     with pytest.raises(InvalidCutoffError, match="cutoff >= 2"):
-        g2_from_rho(rho, a1, a2)
+        g2_from_rho(rho, basis)
     # only the mode that is cut at one photon
     basis = FockBasis(2, 1)
     rho = steady_rho(weak_params(), basis)
-    a1, a2 = two_mode_ops(basis)
-    assert g2_mode(rho, a1)[0] > 0
+    assert g2_mode(rho, basis, 1)[0] > 0
     with pytest.raises(InvalidCutoffError, match="got 1"):
-        g2_mode(rho, a2)
+        g2_mode(rho, basis, 2)
 
 
 def test_g2_thermal_state_two():
@@ -159,21 +161,67 @@ def test_g2_thermal_state_two():
     pops = (nbar / (1 + nbar)) ** np.arange(n_max + 1) / (1 + nbar)
     rho1 = np.diag(pops / pops.sum()).astype(complex)
     rho = np.kron(rho1, rho1)
-    a1, a2 = two_mode_ops(basis)
-    for a in (a1, a2):
-        g2, n = g2_mode(rho, a)
+    for cavity in (1, 2):
+        g2, n = g2_mode(rho, basis, cavity)
         assert g2 == pytest.approx(2.0, abs=1e-6)
         assert n == pytest.approx(nbar, rel=1e-6)
+
+
+@pytest.mark.parametrize("cutoffs", [(2, 4), (4, 2), (3, 3)])
+def test_table_moments_equal_the_operator_products(cutoffs):
+    # the readers weigh diag(rho) by ladder_table's occupations; the dense
+    # reference builds a_j from annihilation: both give <n_j> and
+    # <adag_j^2 a_j^2> = tr(adag adag a a rho) alike
+    rng = np.random.default_rng(sum(cutoffs) * 10 + cutoffs[0])
+    basis = FockBasis(*cutoffs)
+    rhos = np.array([_random_density(rng, basis.dim) for _ in range(5)])
+    for cavity, a in zip((1, 2), two_mode_ops(basis)):
+        ad = a.conj().T
+        g2, n, empty = g2_stack(rhos, basis, cavity)
+        assert not empty.any()
+        for k, rho in enumerate(rhos):
+            n_op = np.trace(ad @ a @ rho).real
+            pair = np.trace(ad @ ad @ a @ a @ rho).real
+            assert n[k] == pytest.approx(n_op, rel=1e-13, abs=0)
+            assert g2[k] * n[k] ** 2 == pytest.approx(pair, rel=1e-13, abs=0)
+
+
+def test_no_production_path_builds_a_ladder_operator(monkeypatch, capsys):
+    # the solve, a master-equation sweep, the g2 command and the optimizer's
+    # oracle read photon numbers from model.ladder_table; only the dense
+    # reference, liouvillian, builds ladder operators
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ladder operator was built")
+
+    for name in ("two_mode_ops", "annihilation"):
+        original = getattr(blockade.fock, name)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").partition(".")[0] == "blockade"
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="ladder operator"):
+        liouvillian(weak_params(), FockBasis(2, 2))
+    p = weak_params(delta=7.3e-5, lambda_gain=0.93e-6)
+    assert all(np.isfinite(steady_g2(p, cutoff=3)))
+    rows = run_sweep(SweepSpec(axis="delta", range=(-0.01, 0.01), points=5,
+                               base=p, method="lindblad", cavity="both")).rows
+    assert all(isinstance(row[k], float) for row in rows
+               for k in ROW_FIELDS[3:])
+    assert cli_main(["g2", "--preset", "weak", "--method", "me"]) == 0
+    assert "g2_1_me" in json.loads(capsys.readouterr().out)
+    pairs = blockade.optimize.find_optimal_pairs(
+        weak_params(), 1, blockade.optimize.SearchGrid(
+            (-0.01, 0.01), (-5e-6, 5e-6), 4, 4))
+    assert pairs and all(q.g2_check <= 1e-2 for q in pairs)
 
 
 def test_g2_from_rho_orders_modes():
     p = weak_params(delta=1e-3, lambda_gain=0.93e-6)
     basis = FockBasis(3, 3)
     rho = steady_state(liouvillian(p, basis))
-    a1, a2 = two_mode_ops(basis)
-    g2_1, g2_2, n1, n2 = g2_from_rho(rho, a1, a2)
-    assert g2_1 == g2_mode(rho, a1)[0]
-    assert g2_2 == g2_mode(rho, a2)[0]
+    g2_1, g2_2, n1, n2 = g2_from_rho(rho, basis)
+    assert g2_1 == g2_mode(rho, basis, 1)[0]
+    assert g2_2 == g2_mode(rho, basis, 2)[0]
     assert n1 > n2 > 0          # drive sits on cavity 1
 
 
@@ -183,7 +231,7 @@ def test_cavity_swap_symmetry():
     p = strong_params(delta=-0.024, lambda_gain=1.1e-6)
     a1, a2 = two_mode_ops(basis)
     g2_1, g2_2, n1, n2 = g2_from_rho(
-        steady_state(liouvillian(p, basis)), a1, a2)
+        steady_state(liouvillian(p, basis)), basis)
 
     h_sw = effective_hamiltonian(p.replace(drive_E=0.0), basis) \
         + p.drive_E * (a2 + a2.conj().T)
@@ -193,7 +241,7 @@ def test_cavity_swap_symmetry():
         n_op = a.conj().T @ a
         liouv += 0.5 * p.kappa * (2 * np.kron(a, a.conj())
                                   - np.kron(n_op, eye) - np.kron(eye, n_op.T))
-    g2_1s, g2_2s, n1s, n2s = g2_from_rho(steady_state(liouv), a1, a2)
+    g2_1s, g2_2s, n1s, n2s = g2_from_rho(steady_state(liouv), basis)
     assert g2_1s == pytest.approx(g2_2, rel=1e-8)
     assert g2_2s == pytest.approx(g2_1, rel=1e-8)
     assert n1s == pytest.approx(n2, rel=1e-8)
@@ -204,8 +252,7 @@ def test_steady_g2_convenience_matches_manual():
     p = weak_params(delta=7.3e-5, lambda_gain=0.93e-6)
     basis = FockBasis(3, 3)
     rho = steady_rho(p, basis)
-    a1, a2 = two_mode_ops(basis)
-    assert steady_g2(p, cutoff=3) == g2_from_rho(rho, a1, a2)
+    assert steady_g2(p, cutoff=3) == g2_from_rho(rho, basis)
 
 
 # (g2_1, g2_2, n1, n2) at cutoff 3 from a 30-digit mpmath LU solve of the
@@ -229,7 +276,7 @@ MPMATH_POINTS = [
 @pytest.mark.parametrize("p, want", MPMATH_POINTS, ids=["A", "B"])
 def test_steady_rho_matches_high_precision_solve(p, want):
     basis = FockBasis(3, 3)
-    got = g2_from_rho(steady_rho(p, basis), *two_mode_ops(basis))
+    got = g2_from_rho(steady_rho(p, basis), basis)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-12)
 
@@ -271,10 +318,10 @@ def test_steady_rho_matches_dense_solve_on_random_points():
             resid += kappa * a @ rho @ a.conj().T
         assert np.max(np.abs(resid)) <= 1e-12 * kappa, (i, p)
         ref = _refined_dense_rho(p, basis)
-        for a in two_mode_ops(basis):
-            g2_ref, n_ref = g2_mode(ref, a)
+        for cavity in (1, 2):
+            g2_ref, n_ref = g2_mode(ref, basis, cavity)
             if n_ref >= 1e-5:
-                got = g2_mode(rho, a)[0]
+                got = g2_mode(rho, basis, cavity)[0]
                 assert got == pytest.approx(g2_ref, rel=1e-10), (i, p)
 
 
@@ -308,10 +355,11 @@ def test_steady_rho_hard_points(monkeypatch, p, cutoff):
     basis = FockBasis(cutoff, cutoff)
     rho = steady_rho(p, basis)
     ref = _refined_dense_rho(p, basis)
-    for a in two_mode_ops(basis):
+    for cavity, a in zip((1, 2), two_mode_ops(basis)):
         if np.trace(a.conj().T @ a @ ref).real < 1e-12:
             continue                    # cavity 2 of the J = 0 points
-        for got, want in zip(g2_mode(rho, a), g2_mode(ref, a)):
+        for got, want in zip(g2_mode(rho, basis, cavity),
+                             g2_mode(ref, basis, cavity)):
             assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -413,10 +461,11 @@ def test_steady_rho_stack_rows_equal_point_solves(cutoff):
         p = base.replace(**{f: float(a[k % len(a)])
                             for f, a in arrays.items()})
         ref = steady_rho(p, basis)
-        for a in two_mode_ops(basis):
-            g2_ref, n_ref = g2_mode(ref, a)
+        for cavity in (1, 2):
+            g2_ref, n_ref = g2_mode(ref, basis, cavity)
             if n_ref >= 1e-5:
-                for got, want in zip(g2_mode(rho, a), (g2_ref, n_ref)):
+                for got, want in zip(g2_mode(rho, basis, cavity),
+                                     (g2_ref, n_ref)):
                     assert got == pytest.approx(want, rel=1e-12), (k, p)
 
 
@@ -583,7 +632,7 @@ def _dense_error(base, basis, field, values, rhos):
     out = []
     for v, rho in zip(values.tolist(), rhos):
         ref = steady_state(liouvillian(base.replace(**{field: v}), basis))
-        got, want = (np.array([g2_mode(r, a) for a in two_mode_ops(basis)])
+        got, want = (np.array([g2_mode(r, basis, c) for c in (1, 2)])
                      for r in (rho, ref))
         out.append(np.max(np.abs(got - want) / np.abs(want)))
     return np.array(out)

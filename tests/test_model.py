@@ -290,6 +290,10 @@ def test_load_params_custom_omega(tmp_path):
     ({"g_om": 0.042, "mu": 0.0017},
      r"mu = 0.0017 differs from g_om\*\*2 = 0.0017640000000000002"),
     ({"mu": 0.04}, r"mu = 0.04 differs from g_om\*\*2 = 0.0"),
+    # float(True) reads 1.0, a drive of 500 kappa; 10**400 overflows float()
+    ({"drive_E": True}, "drive_E must be a number"),
+    ({"kappa_hz": False}, "kappa_hz must be a number"),
+    ({"drive_E": 10 ** 400}, "drive_E must be a number"),
 ])
 def test_load_params_rejects_bad_files(tmp_path, content, match):
     path = tmp_path / "p.json"

@@ -30,6 +30,12 @@ def test_search_grid_validation():
         SearchGrid((-0.01, 0.01), (5e-6, -5e-6))
     with pytest.raises(ValueError):
         SearchGrid((-0.01, 0.01), (-5e-6, 5e-6), n_delta=2)
+    # a non-integer count would fail only in the search, in numpy
+    for counts in ((4.5, 4), (4, 4.0)):
+        with pytest.raises(ValueError, match="integers"):
+            SearchGrid((-0.01, 0.01), (-5e-6, 5e-6), *counts)
+    assert SearchGrid((-1.0, 1.0), (-1.0, 1.0), np.int64(4),
+                      np.int32(5)).starts().shape == (20, 2)
     g = SearchGrid((-1.0, 1.0), (-1.0, 1.0), 4, 5)
     assert g.starts().shape == (20, 2)
 

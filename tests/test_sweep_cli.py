@@ -34,6 +34,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(axis="delta", range=(0, 1), points=5, base=weak_params(),
                   method="bogus")
+    # a non-integer count would fail only in the solve, in numpy
+    with pytest.raises(ValueError, match="points must be an integer"):
+        SweepSpec(axis="delta", range=(0, 1), points=5.5, base=weak_params())
+    with pytest.raises(ValueError, match="integers"):
+        SweepSpec(axis="delta", range=(0, 1), points=5, base=weak_params(),
+                  cutoff=2.5)
+    SweepSpec(axis="delta", range=(0, 1e-3), points=np.int64(3),
+              base=weak_params(), cutoff=np.int64(2))
     for axis in ("lambda", "J", "g"):       # the flip negates delta only
         with pytest.raises(ValueError, match="delta axis only"):
             SweepSpec(axis=axis, range=(0, 1e-3), points=5,
@@ -146,18 +154,19 @@ def test_sweep_columns_equal_the_one_point_functions(base):
     # in Python scalars: hypot and pow() round as abs(complex) and float **
     spec = SweepSpec(axis="J", range=(0.0, 0.004), points=41, base=base,
                      method="both", cavity="both")
-    ops = two_mode_ops(FockBasis(3, 3))
+    basis = FockBasis(3, 3)
+    ops = two_mode_ops(basis)
     rows = run_sweep(spec).rows
     assert "err:" in rows[0]["g2_2_amp"]
     for row, v in zip(rows, np.linspace(0.0, 0.004, 41).tolist()):
         p = base.replace(hop_J=v)
-        amps, rho = steady_amplitudes(p), steady_rho(p, FockBasis(3, 3))
+        amps, rho = steady_amplitudes(p), steady_rho(p, basis)
         for cav in (1, 2):
             want = _scalar_g2_amp(amps, cav)
             assert row["g2_%d_amp" % cav] == want
             assert _value_or_error(g2_cavity, amps, cav) == want
             want = _scalar_g2_me(rho, ops[cav - 1])
-            assert _value_or_error(g2_mode, rho, ops[cav - 1]) == want
+            assert _value_or_error(g2_mode, rho, basis, cav) == want
             if isinstance(want, str):
                 want = (want, want)
             assert (row["g2_%d_me" % cav], row["n%d" % cav]) == want
@@ -430,6 +439,18 @@ def test_cli_configuration_errors_exit_1(argv, tmp_path, capsys, no_search):
     assert cli_main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [True, 10 ** 400], ids=["true", "1e400"])
+def test_cli_params_file_rejects_a_boolean_or_huge_number(value, tmp_path,
+                                                          capsys):
+    # float() reads true as a drive of 1.0 (500 kappa) and overflows on
+    # 10**400: both are usage errors, not a run or a traceback
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps({"drive_E": value}))
+    assert cli_main(["params", "--params-file", str(params_file)]) == 1
+    err = capsys.readouterr().err
+    assert "drive_E must be a number" in err and "Traceback" not in err
 
 
 def test_cli_oversized_cutoff_fails_before_writing(tmp_path, capsys,
