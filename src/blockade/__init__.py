@@ -4,7 +4,7 @@ methods, plus optimal-antibunching parameter search.
 
 A submodule loads the first time one of its public names (or the submodule
 itself) is looked up on the package (PEP 562), so ``from blockade import
-steady_amplitudes`` loads fock, model and amplitude only.
+steady_amplitudes`` loads model and amplitude only.
 """
 
 from importlib import import_module
@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "fock": ("FockBasis", "annihilation", "two_mode_ops"),
     "model": ("SystemParams", "weak_params", "strong_params", "cpb_detunings",
-              "effective_hamiltonian", "non_hermitian_hamiltonian"),
+              "effective_hamiltonian", "non_hermitian_hamiltonian",
+              "FockBasis", "annihilation", "two_mode_ops"),
     "amplitude": ("AmplitudeState", "steady_amplitudes",
                   "analytic_coefficients", "g2_from_amplitudes"),
     "lindblad": ("steady_rho", "steady_rho_stack", "g2_from_rho",

@@ -28,10 +28,9 @@ import sys
 import numpy as np
 
 from .amplitude import UndefinedCorrelationError, g2_cavity, steady_amplitudes
-from .fock import g2_basis
 from .lindblad import (EmptyModeError, SingularLiouvillianError,
                        UnphysicalStateError, g2_mode, steady_rho)
-from .model import PRESETS, SystemParams, load_params
+from .model import PRESETS, SystemParams, g2_basis, load_params
 from .optimize import (ORACLE_CUTOFF, ORACLE_THRESHOLD, STRONG_GRID, WEAK_GRID,
                        SearchGrid, find_optimal_pairs, pairs_to_json)
 from .sweep import (AXES, FIGURE_IDS, SweepSpec, _metadata_path,

@@ -37,10 +37,10 @@ is O(N d^2): a sweep feeds the stack in chunks of
 of the density-matrix check and of ``g2_stack``.
 
 The photon numbers of the jump and of the moments <n_j> and <adag_j^2 a_j^2>
-come from ``model.ladder_table``, as H_nh's do, so no solve builds a ladder
-operator; the g2 readers take the state's FockBasis and a cavity, 1 or 2.
-``liouvillian`` builds the dense (d*d, d*d) superoperator from
-``fock.two_mode_ops``, with density matrices vectorized row-major (numpy
+come from the basis's ``FockBasis.table``, as H_nh's do, so no solve builds
+a ladder operator; the g2 readers take the state's FockBasis and a cavity,
+1 or 2.  ``liouvillian`` builds the dense (d*d, d*d) superoperator from
+``model.two_mode_ops``, with density matrices vectorized row-major (numpy
 ravel order), so vec(A @ rho @ B) = kron(A, B.T) @ vec(rho):
 L = -i (H_nh (x) 1 - 1 (x) conj(H_nh)) + kappa sum_j a_j (x) conj(a_j).
 With ``steady_state`` (a trace-constrained linear solve, O(d^6)) it is the
@@ -53,9 +53,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import FockBasis, g2_basis, g2_cutoff_error, two_mode_ops
-from .model import (SystemParams, check_cavity, hamiltonian_stack,
-                    ladder_table, non_hermitian_hamiltonian)
+from .model import (FockBasis, SystemParams, check_cavity, g2_basis,
+                    g2_cutoff_error, hamiltonian_stack,
+                    non_hermitian_hamiltonian, two_mode_ops)
 # not called here; perfbench's tracer wraps it here by name
 from .model import effective_hamiltonian  # noqa: F401
 
@@ -161,8 +161,7 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     where the residual of the last iterate, max|R| / (kappa (n_1 + n_2)),
     is above RESIDUAL_GATE (or NaN).
     """
-    table = ladder_table(basis)
-    h = hamiltonian_stack(p, table, **arrays)
+    h = hamiltonian_stack(p, basis.table, **arrays)
     dark = ~h[:, :, 0].any(axis=1)      # H_nh |0> = 0: the vacuum is dark
     lam, v, w, ok = _diagonalize(h)
     live = np.flatnonzero(ok & ~dark)
@@ -191,7 +190,7 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     # order, it rounds as the dense products do.
     one = basis.flatten(1, 0)
     shifts = [(m, np.sqrt(n_j[m:]).astype(complex))
-              for n_j, m in zip(table[2], (one, basis.flatten(0, 1)))]
+              for n_j, m in zip(basis.table[2], (one, basis.flatten(0, 1)))]
     left = [p.kappa * s[:, None] for _, s in shifts]
 
     def jump(r):
@@ -200,7 +199,7 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
             out[:, :-m, :-m] += k_s * r[:, m:, m:] * s
         return out
 
-    weights = _moment_weights(table)
+    weights = _moment_weights(basis.table)
     rho = np.zeros(h.shape, dtype=complex)
     rho[:, one, one] = 1.0
     m_rho = _moments(weights, rho)
@@ -351,7 +350,7 @@ def g2_stack(rhos: np.ndarray, basis: FockBasis, cavity: int
     n_max = (basis.n_max_1, basis.n_max_2)[cavity - 1]
     if n_max < 2:
         raise g2_cutoff_error(n_max)
-    weights = _moment_weights(ladder_table(basis))[[cavity - 1, cavity + 1]]
+    weights = _moment_weights(basis.table)[[cavity - 1, cavity + 1]]
     n, two = _moments(weights, rhos)[:, :, 0].T
     with np.errstate(divide="ignore", invalid="ignore"):
         return two / np.float_power(n, 2), n, n <= 1e-30

@@ -23,18 +23,19 @@ for this system use the opposite sign of delta relative to the Hamiltonian
 above (figure axes are flipped).  Everything in this module and the
 solvers uses the Hamiltonian convention; the sweep/optimizer layers apply
 the reporting flip explicitly where documented.
+
+A ``FockBasis`` keeps n_max_j photons at most in mode j, with |n1, n2> at
+flat index n1 * (n_max_2 + 1) + n2.  Its ``table``, its ``ladder_table``,
+is built on first use and read by every solve on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-
-from .fock import FockBasis
-# not called here; perfbench's tracer wraps it here by name
-from .fock import two_mode_ops  # noqa: F401
 
 # 2*pi * 75 MHz, the mechanical frequency used for Hz <-> omega_m conversion.
 OMEGA_M_HZ_DEFAULT = 2.0 * math.pi * 75.0e6
@@ -147,7 +148,7 @@ def effective_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
 
 def non_hermitian_hamiltonian(p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Effective Hamiltonian with -i*kappa/2 * (n1 + n2) decay terms."""
-    return hamiltonian_stack(p, ladder_table(basis))[0]
+    return hamiltonian_stack(p, basis.table)[0]
 
 
 def stacked_rates(p: SystemParams, arrays: dict) -> list[np.ndarray]:
@@ -160,6 +161,85 @@ def stacked_rates(p: SystemParams, arrays: dict) -> list[np.ndarray]:
              for f in STACKED_FIELDS]
     shape = np.broadcast_shapes(*(r.shape for r in rates))
     return [r if r.shape == shape else r.repeat(shape[0]) for r in rates]
+
+
+MAX_DIM = 1024      # cutoffs 31, 31: a steady-state solve takes ~20 s, 434 MB
+
+
+class InvalidCutoffError(ValueError):
+    """Photon-number cutoff below 1 (below 2 for a g2), or a basis dimension
+    above MAX_DIM."""
+
+
+@dataclass(frozen=True)
+class FockBasis:
+    """Tensor product of two truncated Fock spaces.
+
+    n_max_j is the highest photon number kept in mode j, so the per-mode
+    dimension is n_max_j + 1.
+    """
+
+    n_max_1: int
+    n_max_2: int
+
+    def __post_init__(self):
+        cutoffs = (self.n_max_1, self.n_max_2)
+        if not (all(isinstance(n, (int, np.integer)) for n in cutoffs)
+                and min(cutoffs) >= 1 and self.dim <= MAX_DIM):
+            raise InvalidCutoffError(
+                "cutoffs must be integers >= 1 with basis dimension <= %d, "
+                "got %r" % (MAX_DIM, cutoffs))
+
+    @property
+    def dim(self) -> int:
+        return (self.n_max_1 + 1) * (self.n_max_2 + 1)
+
+    def flatten(self, n1: int, n2: int) -> int:
+        """Flat index of |n1, n2>."""
+        if not (0 <= n1 <= self.n_max_1 and 0 <= n2 <= self.n_max_2):
+            raise IndexError("occupation (%d, %d) outside basis" % (n1, n2))
+        return n1 * (self.n_max_2 + 1) + n2
+
+    @cached_property
+    def table(self) -> tuple:
+        """``ladder_table`` of this basis, built on first use; read-only."""
+        return ladder_table(self)
+
+
+def g2_basis(cutoff: int) -> FockBasis:
+    """FockBasis(cutoff, cutoff) for a master-equation g2(0), which needs
+    cutoff >= 2: at cutoff 1 no mode holds two photons, so g2 reads 0."""
+    if cutoff < 2:
+        raise g2_cutoff_error(cutoff)
+    return FockBasis(cutoff, cutoff)
+
+
+def g2_cutoff_error(cutoff: int) -> InvalidCutoffError:
+    """The error of a g2(0) read where a mode is cut at ``cutoff`` < 2."""
+    return InvalidCutoffError("g2(0) needs a cutoff >= 2 (no mode holds two "
+                              "photons at cutoff 1), got %r" % cutoff)
+
+
+def annihilation(n_max: int) -> np.ndarray:
+    """Single-mode annihilation operator on an (n_max+1)-level ladder."""
+    if n_max < 1:
+        raise InvalidCutoffError("n_max must be >= 1, got %r" % (n_max,))
+    a = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for k in range(1, n_max + 1):
+        a[k - 1, k] = np.sqrt(k)
+    return a
+
+
+def two_mode_ops(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation operators (a1, a2) on the flat two-mode space."""
+    def kron(x, y):     # np.kron(x, y), without its general-shape overhead
+        return np.multiply.outer(x, y).transpose(0, 2, 1, 3).reshape(
+            basis.dim, basis.dim)
+
+    eye1, eye2 = (np.eye(n + 1, dtype=complex)
+                  for n in (basis.n_max_1, basis.n_max_2))
+    return (kron(annihilation(basis.n_max_1), eye2),
+            kron(eye1, annihilation(basis.n_max_2)))
 
 
 # per off-diagonal term (the drive on cavity 1, the gain in each cavity, the
@@ -186,9 +266,12 @@ def ladder_table(states) -> tuple:
     factor = np.where(step > 0, root[m + 1], np.where(
         step < 0, root[m], 1.0)) * np.where(step == 2, root[m + 2], 1.0)
     occ = (root * root)[:top + 1, None]     # sqrt(n) * sqrt(n)
-    return (occ, occ * occ, n, occ[n].sum(axis=0)[:, 0],
-            np.concatenate([hi * size + lo, lo * size + hi]),
-            _RATES[move].T.ravel(), np.tile(factor.prod(axis=1), 2))
+    table = (occ, occ * occ, n, occ[n].sum(axis=0)[:, 0],
+             np.concatenate([hi * size + lo, lo * size + hi]),
+             _RATES[move].T.ravel(), np.tile(factor.prod(axis=1), 2))
+    for x in table:         # shared by every solve on the same states
+        x.flags.writeable = False
+    return table
 
 
 def hamiltonian_stack(p: SystemParams, table: tuple, **arrays) -> np.ndarray:
@@ -199,7 +282,7 @@ def hamiltonian_stack(p: SystemParams, table: tuple, **arrays) -> np.ndarray:
     occ, occ_sq, (n1, n2), total, where, rate, element = table
     size, phase = len(total), np.exp(1j * p.theta)
     h = np.zeros((len(delta), size, size), dtype=complex)
-    flat, rates = h.reshape(len(h), -1), np.empty((len(h), 5), dtype=complex)
+    flat, rates = h.reshape(len(h), size ** 2), np.empty((len(h), 5), complex)
     with np.errstate(over="ignore", invalid="ignore"):
         # per photon number: -delta n - mu n**2, with pow() as SystemParams
         energy = -delta * occ - np.float_power(g, 2) * occ_sq

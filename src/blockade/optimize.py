@@ -22,11 +22,13 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .amplitude import steady_amplitude_stack, steady_amplitudes
-from .fock import g2_basis
+from .amplitude import steady_amplitude_stack
 from .lindblad import (EmptyModeError, SingularLiouvillianError,
                        UnphysicalStateError, steady_g2)
-from .model import SystemParams, check_cavity, check_range, cpb_detunings
+from .model import (SystemParams, check_cavity, check_range, cpb_detunings,
+                    g2_basis)
+# not called here; perfbench's tracer wraps it here by name
+from .amplitude import steady_amplitudes  # noqa: F401
 
 NEWTON_FD_STEP = 1e-9
 NEWTON_MAX_ITER = 60
@@ -92,20 +94,17 @@ def target_residual(delta: float, lam: float, p: SystemParams,
 
     Evaluates the amplitude-hierarchy solve at the internal detuning
     -delta and conjugates, so the value is smooth in (delta, lam) and
-    vanishes exactly where the published optimal-pair condition holds.
+    vanishes exactly where the published optimal-pair condition holds:
+    the one-point case of ``target_residual_stack``.
     """
-    check_cavity(cavity)
-    if p.theta != 0.0 or p.phi != 0.0:
-        raise ValueError("target_residual requires theta = phi = 0")
-    s = steady_amplitudes(p.replace(delta=-delta, lambda_gain=lam))
-    c = s.c20 if cavity == 1 else s.c02
-    return complex(np.conj(c))
+    return complex(*target_residual_stack(np.array([[delta, lam]]), p,
+                                          cavity)[0])
 
 
 def target_residual_stack(x: np.ndarray, p: SystemParams, cavity: int
                           ) -> np.ndarray:
-    """``target_residual`` at each row (delta, lambda) of x, bit for bit, as
-    (N, 2) rows (real, imag)."""
+    """``target_residual`` at each row (delta, lambda) of x, as (N, 2) rows
+    (real, imag)."""
     check_cavity(cavity)
     if p.theta != 0.0 or p.phi != 0.0:
         raise ValueError("target_residual requires theta = phi = 0")
@@ -186,9 +185,8 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
     Newton runs from all starts in lockstep on ``target_residual_stack``
     inside the grid box widened by BOX_PAD on each side (see the module
     docstring).  Its roots are deduplicated in start order and sorted by
-    delta; each then takes one ``target_residual`` call for its residual
-    and one ``steady_g2`` call for the master-equation g2 of the target
-    cavity, and is classified.
+    delta; one ``target_residual_stack`` call takes their residuals, and one
+    ``steady_g2`` call per root the master-equation g2 of its cavity.
 
     A returned pair is certified by the master-equation oracle: roots whose
     exact g2 at the drive ``p.drive_E`` is not at most ``oracle_threshold``
@@ -220,9 +218,10 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
         if all(np.linalg.norm(x - r) >= DEDUPE_DIST for r in roots):
             roots.append(x)
 
+    ordered = np.reshape(sorted(roots, key=lambda r: r[0]), (-1, 2))
     pairs = []
-    for x in sorted(roots, key=lambda r: r[0]):
-        resid = abs(target_residual(x[0], x[1], p, cavity))
+    for x, f in zip(ordered, target_residual_stack(ordered, p, cavity)):
+        resid = abs(complex(*f))
         try:
             g2 = steady_g2(p.replace(delta=-x[0], lambda_gain=x[1]),
                            cutoff=g2_cutoff)[cavity - 1]

@@ -23,12 +23,12 @@ import numpy as np
 
 from . import __version__
 from .amplitude import g2_cavity_stack, steady_amplitude_stack
-from .fock import g2_basis
 from .lindblad import g2_stack, steady_rho_stack
-from .model import SystemParams, check_range, strong_params, weak_params
+from .model import (SystemParams, check_range, g2_basis, strong_params,
+                    weak_params)
 # not called here; perfbench's tracer wraps them here by name
 from .amplitude import g2_cavity, steady_amplitudes  # noqa: F401
-from .fock import two_mode_ops  # noqa: F401
+from .model import two_mode_ops  # noqa: F401
 from .lindblad import g2_mode, liouvillian, steady_state  # noqa: F401
 
 AXES = ("delta", "lambda", "J", "g")
@@ -79,6 +79,9 @@ class SweepSpec:
             self.base.replace(**{_AXIS_FIELD[self.axis]: float(value)})
         if self.method != "amplitude":
             g2_basis(self.cutoff)
+        for name in ("points", "cutoff"):   # numpy integers as ints, for JSON
+            if isinstance(getattr(self, name), np.integer):
+                object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass
@@ -164,9 +167,10 @@ def _metadata_path(csv_path) -> str:
 
 def write_csv(result: SweepResult, csv_path) -> None:
     """Rows as CSV; metadata to the sibling ``.json``."""
+    text = json.dumps(result.metadata, indent=2)    # may raise: no file yet
     _write_columns(result.columns, csv_path)
     with open(_metadata_path(csv_path), "w") as fh:
-        fh.write(json.dumps(result.metadata, indent=2))
+        fh.write(text)
 
 
 # Figure bindings.  Detuning ranges below are on the *emitted* axis; the
@@ -235,13 +239,13 @@ def figure_dataset(figure_id: str, outdir, points: int = 401,
         _write_columns(run_sweep(spec).columns, written[-1])
         curve_meta.append({"file": name, "varied": fld, "value": val,
                            "params": base.to_dict()})
-    meta = {"figure": figure_id, "axis": axis, "emitted_range": [lo, hi],
-            "axis_flip": flip, "points": points, "method": method,
-            "cavity": cavity, "cutoff": cutoff, "code_version": __version__,
-            "curve_values_are_repo_choice":
-                figure_id in ("3a", "3b", "5a", "5b"),
-            "curves": curve_meta}
+    text = json.dumps({     # spec's counts: builtin ints, as JSON needs
+        "figure": figure_id, "axis": axis, "emitted_range": [lo, hi],
+        "axis_flip": flip, "points": spec.points, "method": method,
+        "cavity": cavity, "cutoff": spec.cutoff, "code_version": __version__,
+        "curve_values_are_repo_choice": figure_id in ("3a", "3b", "5a", "5b"),
+        "curves": curve_meta}, indent=2)
     written.append(os.path.join(outdir, "fig%s_metadata.json" % figure_id))
     with open(written[-1], "w") as fh:
-        json.dump(meta, fh, indent=2)
+        fh.write(text)
     return written

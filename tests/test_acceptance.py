@@ -13,12 +13,11 @@ import pytest
 
 from blockade.amplitude import analytic_coefficients, g2_cavity, \
     steady_amplitudes
-from blockade.fock import FockBasis, two_mode_ops
 from blockade.lindblad import (check_density_matrix, g2_from_rho, g2_mode,
                                steady_g2, steady_rho)
-from blockade.model import (OMEGA_M_HZ_DEFAULT, SystemParams,
+from blockade.model import (OMEGA_M_HZ_DEFAULT, FockBasis, SystemParams,
                             non_hermitian_hamiltonian, strong_params,
-                            weak_params)
+                            two_mode_ops, weak_params)
 from blockade.optimize import STRONG_GRID, WEAK_GRID, find_optimal_pairs
 from blockade.sweep import SweepSpec, run_sweep
 

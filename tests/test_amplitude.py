@@ -9,8 +9,7 @@ from blockade.amplitude import (AmplitudeState, UndefinedCorrelationError,
                                 WeakDrivingWarning, analytic_coefficients,
                                 g2_cavity, g2_from_amplitudes, lambda_gamma,
                                 steady_amplitude_stack, steady_amplitudes)
-from blockade.fock import FockBasis
-from blockade.model import (SystemParams, hamiltonian_stack,
+from blockade.model import (FockBasis, SystemParams, hamiltonian_stack,
                             non_hermitian_hamiltonian, weak_params)
 from blockade.optimize import SearchGrid, find_optimal_pairs
 from blockade.sweep import SweepSpec, run_sweep

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blockade.fock import (FockBasis, InvalidCutoffError, annihilation,
-                           two_mode_ops)
+from blockade.model import (FockBasis, InvalidCutoffError, annihilation,
+                            two_mode_ops)
 
 
 def _ket(basis, n1, n2):

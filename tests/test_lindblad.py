@@ -4,11 +4,11 @@ import sys
 import numpy as np
 import pytest
 
-import blockade.fock
 import blockade.lindblad
+import blockade.model
 import blockade.optimize
+from blockade.amplitude import g2_cavity_stack, steady_amplitude_stack
 from blockade.cli import cli_main
-from blockade.fock import FockBasis, InvalidCutoffError, two_mode_ops
 from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
                                SingularLiouvillianError,
                                SteadyStateConvergenceError,
@@ -17,9 +17,9 @@ from blockade.lindblad import (DimensionOverflowError, EmptyModeError,
                                g2_from_rho, g2_mode, g2_stack, liouvillian,
                                steady_g2, steady_rho, steady_rho_stack,
                                steady_state)
-from blockade.model import (SystemParams, effective_hamiltonian,
-                            non_hermitian_hamiltonian, strong_params,
-                            weak_params)
+from blockade.model import (FockBasis, InvalidCutoffError, SystemParams,
+                            effective_hamiltonian, non_hermitian_hamiltonian,
+                            strong_params, two_mode_ops, weak_params)
 import blockade.sweep
 from blockade.sweep import ROW_FIELDS, SweepSpec, run_sweep
 
@@ -194,7 +194,7 @@ def test_no_production_path_builds_a_ladder_operator(monkeypatch, capsys):
         raise AssertionError("a ladder operator was built")
 
     for name in ("two_mode_ops", "annihilation"):
-        original = getattr(blockade.fock, name)
+        original = getattr(blockade.model, name)
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").partition(".")[0] == "blockade"
                     and getattr(module, name, None) is original):
@@ -213,6 +213,45 @@ def test_no_production_path_builds_a_ladder_operator(monkeypatch, capsys):
         weak_params(), 1, blockade.optimize.SearchGrid(
             (-0.01, 0.01), (-5e-6, 5e-6), 4, 4))
     assert pairs and all(q.g2_check <= 1e-2 for q in pairs)
+
+
+def test_each_basis_builds_its_table_once(monkeypatch):
+    # steady_g2 solves and reads both g2s on one basis; a sweep solves its
+    # chunks (32 points each at cutoff 3) and reads both cavities on one
+    calls = []
+    table = blockade.model.ladder_table
+
+    def counted(states):
+        calls.append(states)
+        return table(states)
+
+    monkeypatch.setattr(blockade.model, "ladder_table", counted)
+    p = weak_params(delta=7.3e-5, lambda_gain=0.93e-6)
+    steady_g2(p, cutoff=4)
+    assert calls == [FockBasis(4, 4)]
+    calls.clear()
+    run_sweep(SweepSpec(axis="delta", range=(-0.01, 0.01), points=40, base=p,
+                        method="lindblad", cavity="both", cutoff=3))
+    assert calls == [FockBasis(3, 3)]
+    basis = FockBasis(2, 2)
+    for x in basis.table:       # shared by every reader: read-only
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+    with pytest.raises(AttributeError):     # derived from the cutoffs
+        basis.table = FockBasis(3, 3).table
+
+
+def test_stacked_solves_of_no_points():
+    p = weak_params(delta=7.3e-5, lambda_gain=0.93e-6)
+    amps = steady_amplitude_stack(p, delta=np.array([]))
+    assert amps.shape == (0, 6)
+    assert [x.shape for x in g2_cavity_stack(amps, 1)] == [(0,), (0,)]
+    basis = FockBasis(3, 3)
+    rhos, errors = steady_rho_stack(p, basis, delta=np.array([]))
+    assert rhos.shape == (0, 16, 16) and errors.shape == (0,)
+    assert [x.shape for x in g2_stack(rhos, basis, 2)] == [(0,)] * 3
+    assert blockade.optimize.target_residual_stack(
+        np.zeros((0, 2)), p, 1).shape == (0, 2)
 
 
 def test_g2_from_rho_orders_modes():

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import blockade
-from blockade.fock import FockBasis, two_mode_ops
 from blockade.model import (OMEGA_M_HZ_DEFAULT, PRESETS, STACKED_FIELDS,
-                            SystemParams, cpb_detunings,
+                            FockBasis, SystemParams, cpb_detunings,
                             effective_hamiltonian, hamiltonian_stack,
                             ladder_table, load_params,
                             non_hermitian_hamiltonian, params_from_dict,
-                            stacked_rates, strong_params, weak_params)
+                            stacked_rates, strong_params, two_mode_ops,
+                            weak_params)
 
 
 def test_preset_values():

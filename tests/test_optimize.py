@@ -405,7 +405,9 @@ def test_stencils_centre_on_iterates_in_the_padded_box(monkeypatch, preset,
 
     monkeypatch.setattr(blockade.optimize, "target_residual_stack",
                         recording)
-    find_optimal_pairs(preset(), 1, grid, oracle_threshold=None)
+    pairs = find_optimal_pairs(preset(), 1, grid, oracle_threshold=None)
+    *calls, (roots, _) = calls      # the last: the residuals of the roots
+    assert roots.tolist() == [[q.delta_opt, q.lambda_opt] for q in pairs]
     box = _padded_box(grid)
     starts, f_starts = calls[0]
     norm = dict(zip(map(bytes, starts), _norms(f_starts)))

@@ -11,9 +11,9 @@ import blockade
 
 # each public name and the submodule that defines it
 HOMES = {
-    "fock": ("FockBasis", "annihilation", "two_mode_ops"),
     "model": ("SystemParams", "weak_params", "strong_params", "cpb_detunings",
-              "effective_hamiltonian", "non_hermitian_hamiltonian"),
+              "effective_hamiltonian", "non_hermitian_hamiltonian",
+              "FockBasis", "annihilation", "two_mode_ops"),
     "amplitude": ("AmplitudeState", "steady_amplitudes",
                   "analytic_coefficients", "g2_from_amplitudes"),
     "lindblad": ("steady_rho", "steady_rho_stack", "g2_from_rho",
@@ -77,7 +77,7 @@ def test_import_loads_only_the_submodules_it_uses():
                           text=True, env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     loaded, json_loaded, same = done.stdout.splitlines()
-    assert loaded == "blockade.amplitude blockade.fock blockade.model"
+    assert loaded == "blockade.amplitude blockade.model"
     for module in ("lindblad", "optimize", "sweep", "cli"):
         assert "blockade." + module not in loaded.split()
     assert (json_loaded, same) == ("False", "True")

@@ -13,11 +13,10 @@ from blockade.amplitude import UndefinedCorrelationError, \
 import blockade.cli
 import blockade.optimize
 from blockade.cli import build_parser, cli_main
-from blockade.fock import FockBasis, two_mode_ops
 from blockade.lindblad import EmptyModeError, g2_mode, steady_g2, steady_rho
 from blockade.sweep import (FIGURE_IDS, MAX_POINTS, ROW_FIELDS, SweepSpec,
                             figure_dataset, run_sweep, write_csv)
-from blockade.model import strong_params, weak_params
+from blockade.model import FockBasis, strong_params, two_mode_ops, weak_params
 
 
 def _g2_1_amp(rows):
@@ -182,6 +181,30 @@ def test_metadata_fields():
         assert key in meta
     assert meta["axis"] == "lambda"
     assert meta["params"]["delta"] == -0.024
+
+
+@pytest.mark.parametrize("count", ["points", "cutoff"])
+def test_numpy_integer_counts_write_the_same_metadata(count, tmp_path):
+    # the metadata of a run given numpy integers is that given Python ints,
+    # not a JSON error after the CSV, with an empty or partial .json
+    def metadata(**counts):
+        method = "lindblad" if count == "cutoff" else "amplitude"
+        spec = SweepSpec(axis="delta", range=(-0.001, 0.001),
+                         base=weak_params(), method=method,
+                         **{"points": 3, "cutoff": 3, **counts})
+        out = tmp_path / ("%s.csv" % type(counts[count]).__name__)
+        write_csv(run_sweep(spec), out)
+        meta = json.loads(out.with_suffix(".json").read_text())
+        return dict(meta, wall_time_s=None)
+
+    assert metadata(**{count: np.int64(3)}) == metadata(**{count: 3})
+
+
+def test_figure_metadata_with_numpy_integer_counts(tmp_path):
+    metas = [json.loads(open(figure_dataset("3a", tmp_path / type(n).__name__,
+                                            points=n, cutoff=n - 2)[-1]).read())
+             for n in (np.int64(5), 5)]
+    assert metas[0] == metas[1]
 
 
 def test_csv_round_trip(tmp_path):
