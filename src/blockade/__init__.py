@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": ("SystemParams", "weak_params", "strong_params", "cpb_detunings",
               "effective_hamiltonian", "non_hermitian_hamiltonian",
-              "FockBasis", "annihilation", "two_mode_ops"),
+              "FockBasis", "annihilation", "two_mode_ops", "SolverError"),
     "amplitude": ("AmplitudeState", "steady_amplitudes",
                   "analytic_coefficients", "g2_from_amplitudes"),
     "lindblad": ("steady_rho", "steady_rho_stack", "g2_from_rho",

@@ -26,7 +26,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .model import SystemParams, check_cavity, hamiltonian_stack, ladder_table
+from .model import (SolverError, SystemParams, check_cavity,
+                    hamiltonian_stack, ladder_table)
 # not called here; perfbench's tracer wraps it here by name
 from .model import non_hermitian_hamiltonian  # noqa: F401
 
@@ -34,7 +35,7 @@ from .model import non_hermitian_hamiltonian  # noqa: F401
 _TABLE = ladder_table(((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)))
 
 
-class UndefinedCorrelationError(ZeroDivisionError):
+class UndefinedCorrelationError(SolverError, ZeroDivisionError):
     """g2(0) requested for a mode with vanishing one-photon amplitude."""
 
 
@@ -132,24 +133,27 @@ def analytic_coefficients(p: SystemParams) -> AmplitudeState:
 
 def g2_cavity_stack(c: np.ndarray, cavity: int
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(g2, undefined) of one cavity at each row of an (N, 6) amplitude stack.
+    """(g2, errors) of one cavity at each row of an (N, 6) amplitude stack.
 
     Uses the weak-driving occupation approximation n_1 ~ |c10|**2,
-    n_2 ~ |c01|**2; g2 is undefined where that amplitude is zero, and inf or
-    nan, without a warning, where a power overflows.  hypot and
-    pow() round as abs(complex) and float ** do, np.abs and ** not always.
+    n_2 ~ |c01|**2; g2 is undefined where that amplitude is zero (errors
+    names UndefinedCorrelationError there, else ""), and inf or nan, without
+    a warning, where a power overflows.  hypot and pow() round as
+    abs(complex) and float ** do, np.abs and ** not always.
     """
     check_cavity(cavity)
     two, one = (c[:, 5], c[:, 2]) if cavity == 1 else (c[:, 4], c[:, 1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return (2.0 * np.float_power(np.hypot(two.real, two.imag), 2)
-                / np.float_power(np.hypot(one.real, one.imag), 4), one == 0)
+        g2 = (2.0 * np.float_power(np.hypot(two.real, two.imag), 2)
+              / np.float_power(np.hypot(one.real, one.imag), 4))
+    return g2, np.where(one == 0, UndefinedCorrelationError.__name__,
+                        "").astype(object)
 
 
 def g2_cavity(s: AmplitudeState, cavity: int) -> float:
     """g2(0) of one cavity; see ``g2_cavity_stack``."""
-    g2, undefined = g2_cavity_stack(np.array([astuple(s)]), cavity)
-    if undefined[0]:
+    g2, errors = g2_cavity_stack(np.array([astuple(s)]), cavity)
+    if errors[0]:
         raise UndefinedCorrelationError(
             "cavity %d: one-photon amplitude is 0 at these rates (it "
             "vanishes, or underflows below the smallest float)" % cavity)

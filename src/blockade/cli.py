@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import shutil
@@ -27,18 +26,16 @@ import sys
 
 import numpy as np
 
-from .amplitude import UndefinedCorrelationError, g2_cavity, steady_amplitudes
-from .lindblad import (EmptyModeError, SingularLiouvillianError,
-                       UnphysicalStateError, g2_mode, steady_rho)
-from .model import PRESETS, SystemParams, g2_basis, load_params
+from .amplitude import g2_cavity, steady_amplitudes
+from .lindblad import g2_mode, steady_rho
+from .model import (PRESETS, SolverError, SystemParams, g2_basis, load_params,
+                    to_json)
 from .optimize import (ORACLE_CUTOFF, ORACLE_THRESHOLD, STRONG_GRID, WEAK_GRID,
                        SearchGrid, find_optimal_pairs, pairs_to_json)
 from .sweep import (AXES, FIGURE_IDS, SweepSpec, _metadata_path,
                     figure_dataset, run_sweep, write_csv)
 
-SOLVER_ERRORS = (UndefinedCorrelationError, SingularLiouvillianError,
-                 EmptyModeError, UnphysicalStateError, np.linalg.LinAlgError,
-                 FloatingPointError)
+SOLVER_ERRORS = (SolverError, np.linalg.LinAlgError, FloatingPointError)
 
 
 class UsageError(ValueError):
@@ -175,7 +172,7 @@ def _cmd_g2(args) -> int:
         out.update(("n%d" % c, g2_n[c][1]) for c in cavities)
     if not np.isfinite(list(out.values())).all():
         raise FloatingPointError("g2 not finite: %s" % out)
-    print(json.dumps(out, indent=2, allow_nan=False))
+    print(to_json(out, allow_nan=False))
     return 0
 
 
@@ -220,7 +217,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    print(json.dumps(_base_params(args).to_dict(), indent=2))
+    print(to_json(_base_params(args).to_dict()))
     return 0
 
 

@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (FockBasis, SystemParams, check_cavity, g2_basis,
-                    g2_cutoff_error, hamiltonian_stack,
+from .model import (FockBasis, SolverError, SystemParams, check_cavity,
+                    g2_basis, g2_cutoff_error, hamiltonian_stack,
                     non_hermitian_hamiltonian, two_mode_ops)
 # not called here; perfbench's tracer wraps it here by name
 from .model import effective_hamiltonian  # noqa: F401
@@ -85,7 +85,7 @@ class DimensionOverflowError(ValueError):
     """Dense superoperator dimension above 1e4."""
 
 
-class SingularLiouvillianError(np.linalg.LinAlgError):
+class SingularLiouvillianError(SolverError, np.linalg.LinAlgError):
     """Steady-state solve failed (dense or jump-map)."""
 
 
@@ -98,11 +98,11 @@ class SteadyStateResidualError(SingularLiouvillianError):
     RESIDUAL_GATE."""
 
 
-class EmptyModeError(ZeroDivisionError):
+class EmptyModeError(SolverError, ZeroDivisionError):
     """g2(0) requested for a mode with negligible occupation."""
 
 
-class UnphysicalStateError(ValueError):
+class UnphysicalStateError(SolverError, ValueError):
     """Density-matrix invariants (trace/Hermiticity/positivity) violated."""
 
 
@@ -340,12 +340,13 @@ def _moments(weights: np.ndarray, rhos: np.ndarray) -> np.ndarray:
 
 def g2_stack(rhos: np.ndarray, basis: FockBasis, cavity: int
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g2, n, empty) of one cavity at each state of an (N, d, d) stack on
+    """(g2, n, errors) of one cavity at each state of an (N, d, d) stack on
     ``basis``: g2 = <adag adag a a> / <adag a>**2 from diag(rho), weighted
-    as in ``steady_rho_stack``, undefined where n <= 1e-30 (empty,
-    EmptyModeError).  n**2 is pow(), as Python's float ** rounds it.  A
-    cavity other than 1 or 2 raises ValueError; one cut below two photons,
-    where g2 would read 0, InvalidCutoffError (``g2_cutoff_error``)."""
+    as in ``steady_rho_stack``, undefined where n <= 1e-30 (errors names
+    EmptyModeError there, else "").  n**2 is pow(), as Python's float **
+    rounds it.  A cavity other than 1 or 2 raises ValueError; one cut below
+    two photons, where g2 would read 0, InvalidCutoffError
+    (``g2_cutoff_error``)."""
     check_cavity(cavity)
     n_max = (basis.n_max_1, basis.n_max_2)[cavity - 1]
     if n_max < 2:
@@ -353,14 +354,16 @@ def g2_stack(rhos: np.ndarray, basis: FockBasis, cavity: int
     weights = _moment_weights(basis.table)[[cavity - 1, cavity + 1]]
     n, two = _moments(weights, rhos)[:, :, 0].T
     with np.errstate(divide="ignore", invalid="ignore"):
-        return two / np.float_power(n, 2), n, n <= 1e-30
+        g2 = two / np.float_power(n, 2)
+    return g2, n, np.where(n <= 1e-30, EmptyModeError.__name__,
+                           "").astype(object)
 
 
 def g2_mode(rho: np.ndarray, basis: FockBasis, cavity: int
             ) -> tuple[float, float]:
     """(g2, n) of one cavity; see ``g2_stack``."""
-    g2, n, empty = g2_stack(rho[None], basis, cavity)
-    if empty[0]:
+    g2, n, errors = g2_stack(rho[None], basis, cavity)
+    if errors[0]:
         raise EmptyModeError("mode occupation %g underflows" % n[0])
     return float(g2[0]), float(n[0])
 

@@ -171,6 +171,14 @@ class InvalidCutoffError(ValueError):
     above MAX_DIM."""
 
 
+class SolverError(Exception):
+    """Base of the per-point solver failures.  A stacked solve or g2 read
+    names each point's failure by its class name ("" where the point is
+    fine), its one-point case raises that class, and a sweep writes the name
+    into the point's cells as ``err:<name>``.  Each subclass keeps a second
+    base (ZeroDivisionError, LinAlgError or ValueError)."""
+
+
 @dataclass(frozen=True)
 class FockBasis:
     """Tensor product of two truncated Fock spaces.
@@ -348,3 +356,11 @@ def load_params(path) -> SystemParams:
     if not isinstance(d, dict):
         raise ValueError("%s: expected a JSON object" % path)
     return params_from_dict(d)
+
+
+def to_json(obj, **kw) -> str:
+    """obj as JSON indented by 2, the package's one JSON writer: a numpy
+    scalar is written as the Python number it holds (any other object that
+    JSON has no type for raises TypeError)."""
+    import json
+    return json.dumps(obj, indent=2, default=np.generic.item, **kw)

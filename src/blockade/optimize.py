@@ -17,16 +17,14 @@ a root at infinity, |delta| ~ 1e5).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .amplitude import steady_amplitude_stack
-from .lindblad import (EmptyModeError, SingularLiouvillianError,
-                       UnphysicalStateError, steady_g2)
-from .model import (SystemParams, check_cavity, check_range, cpb_detunings,
-                    g2_basis)
+from .lindblad import steady_g2
+from .model import (SolverError, SystemParams, check_cavity, check_range,
+                    cpb_detunings, g2_basis, to_json)
 # not called here; perfbench's tracer wraps it here by name
 from .amplitude import steady_amplitudes  # noqa: F401
 
@@ -129,15 +127,14 @@ def _norms(f: np.ndarray) -> np.ndarray:
 
 
 def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """jac^-1 (-f) per row; NaN rows where jac is singular."""
-    try:
-        return np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:       # bisect the stack to find them
-        if len(f) == 1:
-            return np.full(f.shape, np.nan)
-        h = len(f) // 2
-        return np.concatenate([_newton_steps(jac[:h], f[:h]),
-                               _newton_steps(jac[h:], f[h:])])
+    """jac^-1 (-f) per row; NaN rows where jac is singular, which are those
+    with the zero LU pivot that solve refuses (slogdet's sign 0)."""
+    with np.errstate(invalid="ignore"):     # slogdet of a NaN row warns
+        regular = np.linalg.slogdet(jac)[0] != 0
+    step = np.full(f.shape, np.nan)
+    step[regular] = np.linalg.solve(jac[regular],
+                                    -f[regular, :, None])[:, :, 0]
+    return step
 
 
 def _newton_paths(fun, starts: np.ndarray, box, tol: float) -> np.ndarray:
@@ -197,9 +194,9 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
     are dropped, while at half that drive with lambda quartered
     (lambda_opt scales as E^2) they sit at ~3e-3.  Roots on two-photon
     resonances, where the hierarchy breaks down entirely, are dropped too.
-    A root whose oracle solve fails (SingularLiouvillianError and its
-    subclasses, UnphysicalStateError, EmptyModeError) gets g2_check NaN,
-    and is dropped as well.  Pass ``oracle_threshold=None`` to keep every
+    A root whose oracle solve fails (a SolverError: SingularLiouvillianError
+    and its subclasses, UnphysicalStateError, EmptyModeError) gets g2_check
+    NaN, and is dropped as well.  Pass ``oracle_threshold=None`` to keep every
     root.  An oracle cutoff that ``g2_basis`` rejects, or a cavity other
     than 1 and 2, raises before the search.
     """
@@ -225,8 +222,7 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
         try:
             g2 = steady_g2(p.replace(delta=-x[0], lambda_gain=x[1]),
                            cutoff=g2_cutoff)[cavity - 1]
-        except (SingularLiouvillianError, UnphysicalStateError,
-                EmptyModeError):
+        except SolverError:
             g2 = np.nan
         if oracle_threshold is not None and not g2 <= oracle_threshold:
             continue
@@ -257,5 +253,5 @@ def classify_mechanism(pair: OptimalPair, p: SystemParams) -> OptimalPair:
 
 def pairs_to_json(pairs: list[OptimalPair]) -> str:
     """The pairs as a JSON list; an uncertified NaN g2_check as null."""
-    return json.dumps([dict(asdict(q), g2_check=None if np.isnan(q.g2_check)
-                            else q.g2_check) for q in pairs], indent=2)
+    return to_json([dict(asdict(q), g2_check=None if np.isnan(q.g2_check)
+                         else q.g2_check) for q in pairs])

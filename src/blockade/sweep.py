@@ -6,14 +6,15 @@ axes (the published figures plot the detuning with the opposite sign).
 Each column is an array from the stacked solves and g2s, equal bit for bit
 to their one-point cases; the CSV is written from the columns, and Python
 touches each point only to assemble ``SweepResult.rows``.  Cells carry
-sentinel strings ``err:<code>`` where a per-point solver failed; metadata
-lives in a sibling JSON file, never inline.
+sentinel strings ``err:<name>`` where a stack names a per-point solver
+failure (a ``model.SolverError``) and ``err:FloatingPointError`` where an
+amplitude g2 is not finite; metadata lives in a sibling JSON file, never
+inline.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from . import __version__
 from .amplitude import g2_cavity_stack, steady_amplitude_stack
 from .lindblad import g2_stack, steady_rho_stack
 from .model import (SystemParams, check_range, g2_basis, strong_params,
-                    weak_params)
+                    to_json, weak_params)
+from .optimize import STRONG_GRID, WEAK_GRID
 # not called here; perfbench's tracer wraps them here by name
 from .amplitude import g2_cavity, steady_amplitudes  # noqa: F401
 from .model import two_mode_ops  # noqa: F401
@@ -79,9 +81,6 @@ class SweepSpec:
             self.base.replace(**{_AXIS_FIELD[self.axis]: float(value)})
         if self.method != "amplitude":
             g2_basis(self.cutoff)
-        for name in ("points", "cutoff"):   # numpy integers as ints, for JSON
-            if isinstance(getattr(self, name), np.integer):
-                object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass
@@ -98,17 +97,22 @@ class SweepResult:
                 for cells in zip(*(self.columns[k] for k in ROW_FIELDS))]
 
 
+def _cells(values: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """One cell per point: its value, or ``err:<name>`` where ``errors``,
+    a stack's per-point error names, names a solver failure."""
+    return np.where(errors == "", values.astype(object), "err:" + errors)
+
+
 def _amplitude_columns(spec: SweepSpec, values: np.ndarray,
                        columns: dict) -> None:
     """g2_j_amp of every point from one stacked amplitude solve."""
     amps = steady_amplitude_stack(spec.base,
                                   **{_AXIS_FIELD[spec.axis]: values})
     for cav in (1, 2) if spec.cavity == "both" else (int(spec.cavity),):
-        g2, undefined = g2_cavity_stack(amps, cav)
-        cells = np.where(np.isfinite(g2), g2.astype(object),
-                         "err:FloatingPointError")
-        columns["g2_%d_amp" % cav] = np.where(
-            undefined, "err:UndefinedCorrelationError", cells)
+        g2, errors = g2_cavity_stack(amps, cav)
+        columns["g2_%d_amp" % cav] = _cells(np.where(
+            np.isfinite(g2), g2.astype(object), "err:FloatingPointError"),
+            errors)
 
 
 def _lindblad_columns(spec: SweepSpec, values: np.ndarray,
@@ -123,13 +127,11 @@ def _lindblad_columns(spec: SweepSpec, values: np.ndarray,
         rhos, errors = steady_rho_stack(spec.base, basis, **{
             _AXIS_FIELD[spec.axis]: values[part]})
         for cav in cavities:
-            g2, n, empty = g2_stack(rhos, basis, cav)
+            g2, n, g2_errors = g2_stack(rhos, basis, cav)
             for key, x in (("g2_%d_me" % cav, g2), ("n%d" % cav, n)):
-                columns[key][part] = np.where(empty, "err:EmptyModeError",
-                                              x.astype(object))
-        failed = errors != ""
+                columns[key][part] = _cells(x, g2_errors)
         for key in ROW_FIELDS[3:]:          # a void state voids all four
-            columns[key][part][failed] = "err:" + errors[failed]
+            columns[key][part] = _cells(columns[key][part], errors)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -167,7 +169,7 @@ def _metadata_path(csv_path) -> str:
 
 def write_csv(result: SweepResult, csv_path) -> None:
     """Rows as CSV; metadata to the sibling ``.json``."""
-    text = json.dumps(result.metadata, indent=2)    # may raise: no file yet
+    text = to_json(result.metadata)     # may raise: no file yet
     _write_columns(result.columns, csv_path)
     with open(_metadata_path(csv_path), "w") as fh:
         fh.write(text)
@@ -180,8 +182,10 @@ _WEAK_LAMBDA_OPT = 0.93e-6
 _WEAK_LAMBDA_OPT_CAV2 = 0.4e-6
 _STRONG_LAMBDA_OPT = 1.1e-6
 _STRONG_LAMBDA_OPT_CAV2 = 0.01e-6
-_KAPPA = 0.002
-_WEAK_RANGE, _STRONG_RANGE = (-0.01, 0.01), (-0.02, 0.1)
+# each preset's kappa, and the delta box of its optimal-pair search, which
+# is on the same reporting axis
+_WEAK_KAPPA, _STRONG_KAPPA = weak_params().kappa, strong_params().kappa
+_WEAK_RANGE, _STRONG_RANGE = WEAK_GRID.delta_range, STRONG_GRID.delta_range
 
 # Per panel: preset, its fixed overrides, axis, emitted range, flip, method,
 # cavity, and the field that each of the three curves sets, with its values.
@@ -196,7 +200,7 @@ _FIGURES = {
            _WEAK_RANGE, True, "amplitude", "1", "g_om", (0.0, 0.02, 0.042)),
     "3b": (weak_params, {"lambda_gain": _WEAK_LAMBDA_OPT}, "delta",
            _WEAK_RANGE, True, "amplitude", "1",
-           "hop_J", (0.0, 0.5 * _KAPPA, 0.95 * _KAPPA)),
+           "hop_J", (0.0, 0.5 * _WEAK_KAPPA, 0.95 * _WEAK_KAPPA)),
     "4a": (strong_params, {"lambda_gain": _STRONG_LAMBDA_OPT}, "delta",
            _STRONG_RANGE, True, "both", "1",
            "lambda_gain", (0.0, _STRONG_LAMBDA_OPT, 2 * _STRONG_LAMBDA_OPT)),
@@ -209,7 +213,7 @@ _FIGURES = {
            "amplitude", "1", "g_om", (0.0, 0.1, 0.2)),
     "5b": (strong_params, {"lambda_gain": _STRONG_LAMBDA_OPT}, "delta",
            _STRONG_RANGE, True, "amplitude", "1",
-           "hop_J", (0.0, 4 * _KAPPA, 8 * _KAPPA)),
+           "hop_J", (0.0, 4 * _STRONG_KAPPA, 8 * _STRONG_KAPPA)),
 }
 FIGURE_IDS = tuple(_FIGURES)
 
@@ -239,12 +243,12 @@ def figure_dataset(figure_id: str, outdir, points: int = 401,
         _write_columns(run_sweep(spec).columns, written[-1])
         curve_meta.append({"file": name, "varied": fld, "value": val,
                            "params": base.to_dict()})
-    text = json.dumps({     # spec's counts: builtin ints, as JSON needs
+    text = to_json({
         "figure": figure_id, "axis": axis, "emitted_range": [lo, hi],
-        "axis_flip": flip, "points": spec.points, "method": method,
-        "cavity": cavity, "cutoff": spec.cutoff, "code_version": __version__,
+        "axis_flip": flip, "points": points, "method": method,
+        "cavity": cavity, "cutoff": cutoff, "code_version": __version__,
         "curve_values_are_repo_choice": figure_id in ("3a", "3b", "5a", "5b"),
-        "curves": curve_meta}, indent=2)
+        "curves": curve_meta})
     written.append(os.path.join(outdir, "fig%s_metadata.json" % figure_id))
     with open(written[-1], "w") as fh:
         fh.write(text)

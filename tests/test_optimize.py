@@ -521,6 +521,15 @@ def test_failed_oracle_solve_leaves_its_root_uncertified(monkeypatch,
                for q in json.loads(pairs_to_json(kept)))
 
 
+def test_numpy_integer_cavity_writes_its_pairs():
+    # check_cavity takes np.int64(1); the pairs keep it, and their JSON
+    # writes it as 1, as for the Python int
+    grid = SearchGrid(WEAK_GRID.delta_range, WEAK_GRID.lambda_range, 4, 4)
+    texts = [pairs_to_json(find_optimal_pairs(weak_params(), cavity, grid))
+             for cavity in (np.int64(1), 1)]
+    assert texts[0] == texts[1] and '"cavity": 1,' in texts[0]
+
+
 def test_unconverged_oracle_does_not_end_the_search(capsys):
     # at |J| = 500 kappa the jump map does not converge at the box's one
     # root (reporting delta 0.039975, lambda -7.99e-7)

@@ -13,7 +13,7 @@ import blockade
 HOMES = {
     "model": ("SystemParams", "weak_params", "strong_params", "cpb_detunings",
               "effective_hamiltonian", "non_hermitian_hamiltonian",
-              "FockBasis", "annihilation", "two_mode_ops"),
+              "FockBasis", "annihilation", "two_mode_ops", "SolverError"),
     "amplitude": ("AmplitudeState", "steady_amplitudes",
                   "analytic_coefficients", "g2_from_amplitudes"),
     "lindblad": ("steady_rho", "steady_rho_stack", "g2_from_rho",
@@ -38,7 +38,7 @@ def test_all_names_resolve_and_star_import_works():
 def test_each_name_is_its_home_modules_object():
     names = [(module, name) for module, names in HOMES.items()
              for name in names]
-    assert len(names) == 24
+    assert len(names) == 25
     assert set(blockade.__all__) == {name for _, name in names}
     assert len(blockade.__all__) == len(set(blockade.__all__))
     for module, name in names:

@@ -10,13 +10,20 @@ import pytest
 
 from blockade.amplitude import UndefinedCorrelationError, \
     WeakDrivingWarning, g2_cavity, steady_amplitudes
+import blockade.amplitude
 import blockade.cli
+import blockade.lindblad
 import blockade.optimize
+import blockade.sweep
 from blockade.cli import build_parser, cli_main
-from blockade.lindblad import EmptyModeError, g2_mode, steady_g2, steady_rho
+from blockade.lindblad import (EmptyModeError, SingularLiouvillianError,
+                               SteadyStateConvergenceError,
+                               SteadyStateResidualError, UnphysicalStateError,
+                               g2_mode, steady_g2, steady_rho)
 from blockade.sweep import (FIGURE_IDS, MAX_POINTS, ROW_FIELDS, SweepSpec,
                             figure_dataset, run_sweep, write_csv)
-from blockade.model import FockBasis, strong_params, two_mode_ops, weak_params
+from blockade.model import (FockBasis, SolverError, strong_params,
+                            two_mode_ops, weak_params)
 
 
 def _g2_1_amp(rows):
@@ -115,6 +122,75 @@ def test_sentinel_rows_for_per_point_failures():
         assert np.isfinite(row["g2_1_amp"]) and np.isfinite(row["g2_1_me"])
 
 
+# each SolverError, the module of the stack that names it, and that stack
+_NAMED_BY = {
+    UndefinedCorrelationError: (blockade.amplitude, "g2_cavity_stack"),
+    EmptyModeError: (blockade.lindblad, "g2_stack"),
+    **{cls: (blockade.lindblad, "steady_rho_stack") for cls in (
+        SingularLiouvillianError, SteadyStateConvergenceError,
+        SteadyStateResidualError, UnphysicalStateError)},
+}
+
+
+def test_every_solver_error_is_named_by_a_stack():
+    def family(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from family(sub)
+
+    assert set(family(SolverError)) == set(_NAMED_BY)
+
+
+@pytest.mark.parametrize("cls", list(_NAMED_BY), ids=lambda c: c.__name__)
+def test_a_named_solver_error_reaches_the_sweep_the_cli_and_the_oracle(
+        cls, monkeypatch, tmp_path, capsys):
+    # the stack names cls at one point of its first call; each reader of it
+    # (the sweep's cells, the g2 command, the optimizer's oracle) reports
+    # that point alone, through SolverError, with nothing else failing
+    assert issubclass(cls, SolverError)
+    module, stack = _NAMED_BY[cls]
+    original = getattr(module, stack)
+
+    def name_at(row):
+        calls = []
+
+        def naming(*args, **kwargs):
+            *out, errors = original(*args, **kwargs)
+            if not calls:
+                errors[row] = cls.__name__
+            calls.append(row)
+            return (*out, errors)
+
+        for where in (module, blockade.sweep):
+            monkeypatch.setattr(where, stack, naming)
+
+    name_at(2)
+    rows = run_sweep(SweepSpec(axis="delta", range=(-0.001, 0.001), points=5,
+                               base=weak_params(lambda_gain=0.93e-6),
+                               method="both", cavity="1")).rows
+    failed = [i for i, row in enumerate(rows) for cell in row.values()
+              if str(cell).startswith("err:")]
+    assert set(failed) == {2}
+    assert {rows[2][k] for k in ROW_FIELDS
+            if str(rows[2][k]).startswith("err:")} == {"err:" + cls.__name__}
+
+    name_at(0)
+    method = "amp" if module is blockade.amplitude else "me"
+    assert cli_main(["g2", "--preset", "weak", "--method", method]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("solver error: %s: " % cls.__name__)
+
+    name_at(0)
+    assert cli_main(["optimize", "--preset", "weak", "--starts", "4", "4",
+                     "--keep-uncertified"]) == 0
+    checks = [q["g2_check"] for q in json.loads(capsys.readouterr().out)]
+    # the oracle reads the master-equation stacks only: the first root's
+    # solve is the first call, so that root alone is uncertified
+    named = module is blockade.lindblad
+    assert len(checks) >= 2
+    assert [q is None for q in checks] == [named] + [False] * (len(checks) - 1)
+
+
 def _value_or_error(fun, *args):
     try:
         return fun(*args)
@@ -205,6 +281,27 @@ def test_figure_metadata_with_numpy_integer_counts(tmp_path):
                                             points=n, cutoff=n - 2)[-1]).read())
              for n in (np.int64(5), 5)]
     assert metas[0] == metas[1]
+
+
+@pytest.mark.parametrize("kw, key, want", [
+    ({"range": (np.int64(0), np.int64(1))}, ("range",), [0, 1]),
+    ({"range": (np.float32(-1e-3), np.float32(1e-3))}, ("range",),
+     [float(np.float32(-1e-3)), float(np.float32(1e-3))]),
+    ({"base": weak_params(hop_J=np.int64(0))}, ("params", "hop_J"), 0),
+    ({"base": weak_params(g_om=np.float32(0.042))}, ("params", "mu"),
+     float(np.float32(0.042) ** 2)),
+], ids=["int64-range", "float32-range", "int64-rate", "float32-rate"])
+def test_numpy_scalars_write_the_numbers_they_hold(kw, key, want, tmp_path):
+    # every check takes these; the metadata writes each as its Python number
+    # (an int range as [0, 1]), not a TypeError from json
+    spec = SweepSpec(**{"axis": "delta", "range": (-1e-3, 1e-3), "points": 3,
+                        "base": weak_params(), "method": "amplitude", **kw})
+    out = tmp_path / "s.csv"
+    write_csv(run_sweep(spec), out)
+    got = json.loads(out.with_suffix(".json").read_text())
+    for k in key:
+        got = got[k]
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_csv_round_trip(tmp_path):
