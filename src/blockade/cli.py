@@ -7,6 +7,10 @@ file, or an output, --out or a sweep's metadata, over the --params-file or
 the other output) or closed standard output (silently), 2 solver error (also
 a g2 that is not finite).  A run builds the options of its own subcommand
 only; argv that names none (``--help``, an unknown command) builds them all.
+``--cutoff`` belongs to the commands whose master-equation solve reads it
+(g2, sweep, figure; default ``lindblad.DEFAULT_CUTOFF``): ``optimize``
+certifies at the fixed ``optimize.ORACLE_CUTOFF``, so another truncation is
+checked by ``optimize --keep-uncertified``, then ``g2 --method me --cutoff``.
 
 Detunings given on the command line (``--delta``, ``optimize`` output)
 follow the published reporting axis, i.e. the sign convention of the
@@ -27,11 +31,11 @@ import sys
 import numpy as np
 
 from .amplitude import g2_cavity, steady_amplitudes
-from .lindblad import g2_mode, steady_rho
+from .lindblad import DEFAULT_CUTOFF, g2_mode, steady_rho
 from .model import (PRESETS, SolverError, SystemParams, g2_basis, load_params,
                     to_json)
-from .optimize import (ORACLE_CUTOFF, ORACLE_THRESHOLD, STRONG_GRID, WEAK_GRID,
-                       SearchGrid, find_optimal_pairs, pairs_to_json)
+from .optimize import (STRONG_GRID, WEAK_GRID, SearchGrid, find_optimal_pairs,
+                       pairs_to_json)
 from .sweep import (AXES, FIGURE_IDS, SweepSpec, _metadata_path,
                     figure_dataset, run_sweep, write_csv)
 
@@ -91,31 +95,28 @@ def _add_common(sp):
                     help="parametric gain")
     sp.add_argument("--J", type=float, help="photon hopping rate")
     sp.add_argument("--g", type=float, help="optomechanical coupling")
-    sp.add_argument("--cutoff", type=int, default=3,
-                    help="Fock cutoff per mode for the master equation")
 
 
 def _g2_options(sp):
     _add_common(sp)
+    sp.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
+                    help="Fock cutoff per mode for the master equation")
     sp.add_argument("--method", choices=("amp", "me", "both"), default="both")
     sp.add_argument("--cavity", choices=("1", "2", "both"), default="both")
 
 
 def _sweep_options(sp):
-    _add_common(sp)
+    _g2_options(sp)
     sp.add_argument("--axis", choices=AXES, default="delta")
     sp.add_argument("--range", nargs=2, type=float, required=True,
                     metavar=("LO", "HI"), help="internal-axis sweep range")
     sp.add_argument("--points", type=int, default=201)
-    sp.add_argument("--method", choices=("amp", "me", "both"), default="both")
-    sp.add_argument("--cavity", choices=("1", "2", "both"), default="both")
     sp.add_argument("--flip-axis", action="store_true")
     sp.add_argument("--out", required=True, help="output CSV path")
 
 
 def _optimize_options(sp):
     _add_common(sp)
-    sp.set_defaults(cutoff=ORACLE_CUTOFF)
     sp.add_argument("--cavity", type=int, choices=(1, 2), default=1)
     sp.add_argument("--delta-range", nargs=2, type=float, metavar=("LO", "HI"),
                     help="default: the --preset box, else STRONG_GRID's")
@@ -133,7 +134,7 @@ def _figure_options(sp):
     sp.add_argument("figure_id", choices=FIGURE_IDS)
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--points", type=int, default=401)
-    sp.add_argument("--cutoff", type=int, default=3)
+    sp.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
 
 
 def build_parser(command: str | None = None) -> _Parser:
@@ -194,11 +195,9 @@ def _cmd_optimize(args) -> int:
     grid = SearchGrid(tuple(args.delta_range or default.delta_range),
                       tuple(args.lambda_range or default.lambda_range),
                       *(args.starts or (default.n_delta, default.n_lambda)))
-    thresh = None if args.keep_uncertified else ORACLE_THRESHOLD
     if args.out:
         _check_outputs(args.params_file, args.out)
-    pairs = find_optimal_pairs(p, args.cavity, grid, g2_cutoff=args.cutoff,
-                               oracle_threshold=thresh)
+    pairs = find_optimal_pairs(p, args.cavity, grid, args.keep_uncertified)
     text = pairs_to_json(pairs)
     if args.out:
         with open(args.out, "w") as fh:

@@ -78,6 +78,12 @@ MOMENT_FLOOR = 1e-20
 RESIDUAL_GATE = 1e-6
 DARK_TOL = 1e-8
 MAX_ITERATIONS = 2000
+# the per-mode Fock cutoff of a master-equation g2 unless one is given.
+# Against cutoff 10-12 over 41-point delta sweeps, its relative g2 error is
+# <= 1.8e-5 on the weak preset at its drive E = 0.02 kappa and <= 9.7e-5 on
+# the strong preset up to E = kappa; the weak one's grows with E (3e-2 at
+# 0.3 kappa).
+DEFAULT_CUTOFF = 3
 _SMALLEST = np.finfo(float).smallest_subnormal
 
 
@@ -375,8 +381,8 @@ def g2_from_rho(rho: np.ndarray, basis: FockBasis
     return g2_1, g2_2, n1, n2
 
 
-def steady_g2(p: SystemParams, cutoff: int = 3, allow_large: bool = False
-              ) -> tuple[float, float, float, float]:
+def steady_g2(p: SystemParams, cutoff: int = DEFAULT_CUTOFF,
+              allow_large: bool = False) -> tuple[float, float, float, float]:
     """Exact (g2_1, g2_2, n1, n2) from ``steady_rho`` at a cutoff.
 
     A cutoff that ``g2_basis`` rejects raises InvalidCutoffError.

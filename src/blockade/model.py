@@ -66,7 +66,10 @@ class SystemParams:
 
     def __post_init__(self):
         for key in _PARAM_KEYS:
-            if not math.isfinite(getattr(self, key)):
+            value = getattr(self, key)
+            if isinstance(value, np.generic):   # the Python number it holds
+                object.__setattr__(self, key, value := value.item())
+            if not math.isfinite(value):
                 raise ValueError("%s must be finite" % key)
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")

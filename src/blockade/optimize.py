@@ -24,7 +24,7 @@ import numpy as np
 from .amplitude import steady_amplitude_stack
 from .lindblad import steady_g2
 from .model import (SolverError, SystemParams, check_cavity, check_range,
-                    cpb_detunings, g2_basis, to_json)
+                    cpb_detunings, to_json)
 # not called here; perfbench's tracer wraps it here by name
 from .amplitude import steady_amplitudes  # noqa: F401
 
@@ -41,6 +41,8 @@ MAX_STARTS = 100_000
 # this threshold
 ORACLE_THRESHOLD = 1e-2
 ORACLE_CUTOFF = 4
+# the largest residual entry whose squared norm stays finite
+_F_MAX = np.sqrt(np.finfo(float).max / 2)
 # the stencil offsets dx_i (row i) and the ladder scales 1, 1/2, 1/4, ...
 _FD = NEWTON_FD_STEP * np.eye(2)
 _LADDER = np.ldexp(1.0, -np.arange(NEWTON_MAX_HALVINGS))
@@ -65,8 +67,9 @@ class SearchGrid:
                              "most %d starts" % MAX_STARTS)
 
     def starts(self) -> np.ndarray:
-        dd = np.linspace(*self.delta_range, self.n_delta)
-        ll = np.linspace(*self.lambda_range, self.n_lambda)
+        # as Python floats: linspace takes its dtype from the ends
+        dd = np.linspace(*map(float, self.delta_range), self.n_delta)
+        ll = np.linspace(*map(float, self.lambda_range), self.n_lambda)
         return np.array([(d, l) for d in dd for l in ll])
 
 
@@ -112,11 +115,14 @@ def target_residual_stack(x: np.ndarray, p: SystemParams, cavity: int
 
 
 def _evaluate(fun, x: np.ndarray) -> np.ndarray:
-    """fun at the finite points (last axis) of x; NaN rows at the others."""
+    """fun at the finite points (last axis) of x; NaN rows at the others,
+    and where fun's row has an entry of at least _F_MAX: not finite, or so
+    large (as at a gain near 1e308) that its squared norm would overflow."""
     ok = np.isfinite(x).all(axis=-1)
     f = np.full(x.shape, np.nan)
     if ok.any():
         f[ok] = fun(x[ok])
+        f[~(np.abs(f) < _F_MAX).all(axis=-1)] = np.nan
     return f
 
 
@@ -174,9 +180,7 @@ def _newton_paths(fun, starts: np.ndarray, box, tol: float) -> np.ndarray:
 
 
 def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
-                       g2_cutoff: int = ORACLE_CUTOFF,
-                       oracle_threshold: float | None = ORACLE_THRESHOLD
-                       ) -> list[OptimalPair]:
+                       keep_uncertified: bool = False) -> list[OptimalPair]:
     """All distinct antibunching roots reachable from the grid starts.
 
     Newton runs from all starts in lockstep on ``target_residual_stack``
@@ -186,22 +190,22 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
     ``steady_g2`` call per root the master-equation g2 of its cavity.
 
     A returned pair is certified by the master-equation oracle: roots whose
-    exact g2 at the drive ``p.drive_E`` is not at most ``oracle_threshold``
-    are dropped.  A root zeroes the two-photon amplitude of the n1 + n2 <= 2
-    hierarchy only; at finite drive the exact g2 there is not zero but
-    scales as (E/kappa)^2, so certification depends on the drive: at the
-    weak preset (E = 0.02 kappa) the 2nd and 3rd roots sit at ~1.1e-2 and
-    are dropped, while at half that drive with lambda quartered
+    exact g2 at the drive ``p.drive_E`` and cutoff ``ORACLE_CUTOFF`` is not
+    at most ``ORACLE_THRESHOLD`` are dropped.  Both are fixed, so a
+    certificate means one thing.  A root zeroes the two-photon amplitude of
+    the n1 + n2 <= 2 hierarchy only; at finite drive the exact g2 there is
+    not zero but scales as (E/kappa)^2, so certification depends on the
+    drive: at the weak preset (E = 0.02 kappa) the 2nd and 3rd roots sit at
+    ~1.1e-2 and are dropped, while at half that drive with lambda quartered
     (lambda_opt scales as E^2) they sit at ~3e-3.  Roots on two-photon
     resonances, where the hierarchy breaks down entirely, are dropped too.
     A root whose oracle solve fails (a SolverError: SingularLiouvillianError
     and its subclasses, UnphysicalStateError, EmptyModeError) gets g2_check
-    NaN, and is dropped as well.  Pass ``oracle_threshold=None`` to keep every
-    root.  An oracle cutoff that ``g2_basis`` rejects, or a cavity other
-    than 1 and 2, raises before the search.
+    NaN, and is dropped as well.  ``keep_uncertified`` keeps every root,
+    each with its oracle g2; ``steady_g2`` of a pair checks it at another
+    cutoff.  A cavity other than 1 and 2 raises before the search.
     """
     check_cavity(cavity)
-    g2_basis(g2_cutoff)
     if p.drive_E <= 0:
         return []
     tol = 1e-10 * p.drive_E ** 2
@@ -221,10 +225,10 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
         resid = abs(complex(*f))
         try:
             g2 = steady_g2(p.replace(delta=-x[0], lambda_gain=x[1]),
-                           cutoff=g2_cutoff)[cavity - 1]
+                           cutoff=ORACLE_CUTOFF)[cavity - 1]
         except SolverError:
             g2 = np.nan
-        if oracle_threshold is not None and not g2 <= oracle_threshold:
+        if not (keep_uncertified or g2 <= ORACLE_THRESHOLD):
             continue
         pair = OptimalPair(delta_opt=float(x[0]), lambda_opt=float(x[1]),
                            residual=float(resid), cavity=cavity, g2_check=g2)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .amplitude import g2_cavity_stack, steady_amplitude_stack
-from .lindblad import g2_stack, steady_rho_stack
+from .lindblad import DEFAULT_CUTOFF, g2_stack, steady_rho_stack
 from .model import (SystemParams, check_range, g2_basis, strong_params,
                     to_json, weak_params)
 from .optimize import STRONG_GRID, WEAK_GRID
@@ -60,7 +60,7 @@ class SweepSpec:
     method: str = "both"            # amplitude | lindblad | both
     cavity: str = "both"            # "1" | "2" | "both"
     axis_flip: bool = False
-    cutoff: int = 3
+    cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -136,7 +136,8 @@ def _lindblad_columns(spec: SweepSpec, values: np.ndarray,
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate g2(0) over the axis grid; deterministic given the spec."""
-    values = np.linspace(spec.range[0], spec.range[1], spec.points)
+    # as Python floats: linspace takes its dtype from the ends
+    values = np.linspace(*map(float, spec.range), spec.points)
     t0 = time.perf_counter()
     columns = {"axis_value": (-values if spec.axis_flip else values
                               ).astype(object),
@@ -219,7 +220,7 @@ FIGURE_IDS = tuple(_FIGURES)
 
 
 def figure_dataset(figure_id: str, outdir, points: int = 401,
-                   cutoff: int = 3) -> list[str]:
+                   cutoff: int = DEFAULT_CUTOFF) -> list[str]:
     """Emit one CSV per curve of a published-figure panel plus metadata.
 
     Returns the written file paths (CSVs first, metadata JSON last).

@@ -116,7 +116,7 @@ def test_criterion_2_weak_optimal_pairs():
     # listed pair.
     p = weak_params()
     E, kappa = p.drive_E, p.kappa
-    uncertified = find_optimal_pairs(p, 1, WEAK_GRID, oracle_threshold=None)
+    uncertified = find_optimal_pairs(p, 1, WEAK_GRID, keep_uncertified=True)
     certified = [q for q in uncertified if q.g2_check <= 1e-2]
     resid_ok = all(q.residual <= 1e-10 * E ** 2 for q in uncertified)
     d0, l0 = WEAK_FIRST_PAIR

@@ -76,7 +76,7 @@ def test_weak_driving_warning():
                                              method="amplitude")),
                  lambda: find_optimal_pairs(strong, 1, SearchGrid(
                      (-0.01, 0.01), (-5e-6, 5e-6), 4, 4),
-                     oracle_threshold=None)):
+                     keep_uncertified=True)):
         with pytest.warns(WeakDrivingWarning) as record:
             call()
         assert record[0].filename == __file__

@@ -14,7 +14,9 @@ import pytest
 from blockade.cli import cli_main
 
 SEED = 20261019
-N_ARGV = 300
+# a g2 solver error (exit 2) comes about once in 70 argvs; 4 of the first
+# 500 reach one
+N_ARGV = 500
 
 # per flag: (good values, bad values)
 VALUES = {
@@ -42,11 +44,11 @@ COMMANDS = {
     "sweep": ("--preset", "--delta", "--lambda", "--J", "--g", "--cutoff",
               "--axis", "--range", "--points", "--method", "--cavity",
               "--flip-axis", "--out"),
-    "optimize": ("--preset", "--delta", "--lambda", "--J", "--g", "--cutoff",
+    "optimize": ("--preset", "--delta", "--lambda", "--J", "--g",
                  "--delta-range", "--lambda-range", "--starts",
                  "--keep-uncertified", "--out"),
     "figure": ("figure_id", "--out", "--points", "--cutoff"),
-    "params": ("--preset", "--delta", "--lambda", "--J", "--g", "--cutoff"),
+    "params": ("--preset", "--delta", "--lambda", "--J", "--g"),
 }
 # the chance that an argv gives a flag, 1/2 unless named here; the default
 # of --points (401 figure points, 0.5 s a figure) would cost the most

@@ -10,8 +10,8 @@ from blockade.model import (OMEGA_M_HZ_DEFAULT, PRESETS, STACKED_FIELDS,
                             effective_hamiltonian, hamiltonian_stack,
                             ladder_table, load_params,
                             non_hermitian_hamiltonian, params_from_dict,
-                            stacked_rates, strong_params, two_mode_ops,
-                            weak_params)
+                            stacked_rates, strong_params, to_json,
+                            two_mode_ops, weak_params)
 
 
 def test_preset_values():
@@ -306,3 +306,14 @@ def test_to_dict_includes_mu():
     d = strong_params().to_dict()
     assert d["mu"] == pytest.approx(0.04)
     assert d["g_om"] == 0.2
+
+
+@pytest.mark.parametrize("p", [weak_params(g_om=np.float32(0.042)),
+                               weak_params(hop_J=np.int64(0))],
+                         ids=["float32-rate", "int64-rate"])
+def test_numpy_scalar_rates_read_back_from_their_output(p):
+    # each field is the Python number it holds, so mu is a float64 square
+    # and the written mu reads back as g_om**2
+    assert params_from_dict(json.loads(to_json(p.to_dict()))) == p
+    assert type(p.mu) is float
+    assert all(type(x) is float for x in cpb_detunings(p))

@@ -12,8 +12,8 @@ from blockade.lindblad import (EmptyModeError, SteadyStateConvergenceError,
 from blockade.model import SystemParams, strong_params, weak_params
 from blockade.optimize import (BOX_PAD, MAX_STARTS, NEWTON_FD_STEP,
                                NEWTON_MAX_HALVINGS, NEWTON_MAX_ITER,
-                               STRONG_GRID, WEAK_GRID, OptimalPair,
-                               SearchGrid, _newton_paths, _norms,
+                               ORACLE_CUTOFF, STRONG_GRID, WEAK_GRID,
+                               OptimalPair, SearchGrid, _newton_paths, _norms,
                                classify_mechanism, find_optimal_pairs,
                                pairs_to_json, target_residual,
                                target_residual_stack)
@@ -38,6 +38,15 @@ def test_search_grid_validation():
                       np.int32(5)).starts().shape == (20, 2)
     g = SearchGrid((-1.0, 1.0), (-1.0, 1.0), 4, 5)
     assert g.starts().shape == (20, 2)
+
+
+def test_float32_range_ends_give_the_starts_of_their_python_floats():
+    # linspace would take float32 from the ends: -0.0033333334140479565
+    # where the Python floats give -0.003333333258827527
+    ends = (np.float32(-0.01), np.float32(0.01))
+    got, want = (SearchGrid(d, (-5e-6, 5e-6), 4, 4).starts()
+                 for d in (ends, tuple(map(float, ends))))
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_search_grid_rejects_oversized_start_counts():
@@ -288,8 +297,17 @@ def test_non_finite_iterate_drops_its_start(monkeypatch):
     others = np.arange(len(starts)) != 4
     np.testing.assert_array_equal(paths[others], free[others])
     grid = SearchGrid(WEAK_GRID.delta_range, WEAK_GRID.lambda_range, 4, 4)
-    pairs = find_optimal_pairs(weak_params(), 1, grid, oracle_threshold=None)
+    pairs = find_optimal_pairs(weak_params(), 1, grid, keep_uncertified=True)
     assert [q.delta_opt > 0 for q in pairs] == [True]
+
+
+def test_overflowing_residuals_drop_their_starts():
+    # near lambda = 1e308 a residual is not finite or too large to square:
+    # those starts fail quietly, and the lambda = 0 starts keep their root
+    grid = SearchGrid((0.0, 0.05), (0.0, 1e308), 4, 4)
+    [pair] = find_optimal_pairs(weak_params(), 1, grid)
+    assert (pair.delta_opt, pair.lambda_opt) == pytest.approx(
+        SHIPPED_ROOTS[weak_params, 1][0], rel=1e-12, abs=0)
 
 
 def test_no_roots_without_drive():
@@ -298,7 +316,7 @@ def test_no_roots_without_drive():
 
 def test_weak_roots_uncertified():
     pairs = find_optimal_pairs(weak_params(), 1, WEAK_GRID,
-                               oracle_threshold=None)
+                               keep_uncertified=True)
     assert len(pairs) >= 3
     deltas = [q.delta_opt for q in pairs]
     assert deltas == sorted(deltas)
@@ -339,8 +357,8 @@ def test_grid_refinement_stable():
     base = SearchGrid((-0.005, 0.005), (-2e-6, 2e-6), 8, 4)
     fine = SearchGrid((-0.005, 0.005), (-2e-6, 2e-6), 16, 8)
     p = weak_params()
-    coarse_roots = find_optimal_pairs(p, 1, base, oracle_threshold=None)
-    fine_roots = find_optimal_pairs(p, 1, fine, oracle_threshold=None)
+    coarse_roots = find_optimal_pairs(p, 1, base, keep_uncertified=True)
+    fine_roots = find_optimal_pairs(p, 1, fine, keep_uncertified=True)
     for q in coarse_roots:
         dist = min(np.hypot(q.delta_opt - r.delta_opt,
                             q.lambda_opt - r.lambda_opt) for r in fine_roots)
@@ -372,7 +390,7 @@ SHIPPED_ROOTS = {
 @pytest.mark.parametrize("preset, cavity", list(SHIPPED_ROOTS))
 def test_shipped_searches_keep_their_roots(preset, cavity):
     grid = WEAK_GRID if preset is weak_params else STRONG_GRID
-    pairs = find_optimal_pairs(preset(), cavity, grid, oracle_threshold=None)
+    pairs = find_optimal_pairs(preset(), cavity, grid, keep_uncertified=True)
     roots = SHIPPED_ROOTS[preset, cavity]
     assert len(pairs) == len(roots)
     for q, (delta, lam) in zip(pairs, roots):
@@ -405,7 +423,7 @@ def test_stencils_centre_on_iterates_in_the_padded_box(monkeypatch, preset,
 
     monkeypatch.setattr(blockade.optimize, "target_residual_stack",
                         recording)
-    pairs = find_optimal_pairs(preset(), 1, grid, oracle_threshold=None)
+    pairs = find_optimal_pairs(preset(), 1, grid, keep_uncertified=True)
     *calls, (roots, _) = calls      # the last: the residuals of the roots
     assert roots.tolist() == [[q.delta_opt, q.lambda_opt] for q in pairs]
     box = _padded_box(grid)
@@ -514,11 +532,26 @@ def test_failed_oracle_solve_leaves_its_root_uncertified(monkeypatch,
     assert find_optimal_pairs(weak_params(), 1, grid) == []
     roots = len(calls)
     assert roots >= 1
-    kept = find_optimal_pairs(weak_params(), 1, grid, oracle_threshold=None)
+    kept = find_optimal_pairs(weak_params(), 1, grid, keep_uncertified=True)
     assert len(kept) == roots and len(calls) == 2 * roots
     assert all(np.isnan(q.g2_check) for q in kept)
     assert all(q["g2_check"] is None
                for q in json.loads(pairs_to_json(kept)))
+
+
+def test_oracle_solves_at_the_oracle_cutoff(monkeypatch):
+    # the certificate has one truncation, whatever the search keeps
+    cutoffs = []
+
+    def recording(p, cutoff):
+        cutoffs.append(cutoff)
+        return blockade.lindblad.steady_g2(p, cutoff=cutoff)
+
+    monkeypatch.setattr(blockade.optimize, "steady_g2", recording)
+    for keep in (False, True):
+        find_optimal_pairs(weak_params(), 1, WEAK_GRID, keep_uncertified=keep)
+    assert len(cutoffs) == 2 * len(SHIPPED_ROOTS[weak_params, 1])
+    assert set(cutoffs) == {ORACLE_CUTOFF}
 
 
 def test_numpy_integer_cavity_writes_its_pairs():

@@ -289,7 +289,7 @@ def test_figure_metadata_with_numpy_integer_counts(tmp_path):
      [float(np.float32(-1e-3)), float(np.float32(1e-3))]),
     ({"base": weak_params(hop_J=np.int64(0))}, ("params", "hop_J"), 0),
     ({"base": weak_params(g_om=np.float32(0.042))}, ("params", "mu"),
-     float(np.float32(0.042) ** 2)),
+     float(np.float32(0.042)) ** 2),
 ], ids=["int64-range", "float32-range", "int64-rate", "float32-rate"])
 def test_numpy_scalars_write_the_numbers_they_hold(kw, key, want, tmp_path):
     # every check takes these; the metadata writes each as its Python number
@@ -302,6 +302,19 @@ def test_numpy_scalars_write_the_numbers_they_hold(kw, key, want, tmp_path):
     for k in key:
         got = got[k]
     assert json.dumps(got) == json.dumps(want)
+
+
+def test_float32_range_ends_give_the_axis_of_their_python_floats():
+    # linspace would take float32 from the ends: a 2nd point at
+    # -0.0006666666595265269 where the Python floats give
+    # -0.0006666666983316343
+    ends = (np.float32(-1e-3), np.float32(1e-3))
+    got, want = (run_sweep(SweepSpec(axis="delta", range=r, points=7,
+                                     base=weak_params(), method="amplitude")
+                           ).columns["axis_value"]
+                 for r in (ends, tuple(map(float, ends))))
+    assert [type(x) for x in got] == [float] * 7
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_csv_round_trip(tmp_path):
@@ -484,16 +497,40 @@ def test_per_command_parser_prints_what_the_full_parser_prints(
     assert _run(argv, capsys) == got
 
 
+def _assert_cutoff_refused(argv, capsys):
+    """argv exits 1 with one usage error, on its --cutoff, printing
+    nothing to stdout."""
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("usage error:")]
+    assert len(errors) == 1 and "--cutoff" in errors[0]
+    assert not captured.out
+
+
 @pytest.mark.parametrize("argv, cutoff", [
     (["g2", "--preset", "weak", "--delta", "-0.73e-4", "--method", "amp"], 3),
     (["sweep", "--preset", "strong", "--axis", "lambda", "--range", "-5e-6",
       "5e-6", "--points", "9", "--flip-axis", "--out", "a.csv"], 3),
-    (["optimize", "--preset", "weak", "--starts", "4", "4"], 4),
+    (["optimize", "--preset", "weak", "--starts", "4", "4", "--cutoff", "4"],
+     4),
     (["optimize", "--preset", "strong", "--cutoff", "5", "--cavity", "2"], 5),
     (["figure", "3a", "--out", "d", "--points", "9"], 3),
-    (["params", "--params-file", "p.json", "--J", "0.01"], 3),
+    (["params", "--params-file", "p.json", "--J", "0.01", "--cutoff", "3"],
+     3),
 ])
-def test_per_command_parser_parses_as_the_full_parser(argv, cutoff):
+def test_per_command_parser_parses_as_the_full_parser(argv, cutoff, capsys,
+                                                      no_search):
+    # g2, sweep and figure read a cutoff, DEFAULT_CUTOFF unless given;
+    # optimize (which certifies at ORACLE_CUTOFF) and params refuse one
+    if argv[0] in ("optimize", "params"):
+        for parser in (build_parser(argv[0]), build_parser()):
+            with pytest.raises(blockade.cli.UsageError,
+                               match="unrecognized arguments: --cutoff %d"
+                               % cutoff):
+                parser.parse_args(argv)
+        _assert_cutoff_refused(argv, capsys)
+        return
     args = build_parser(argv[0]).parse_args(argv)
     assert vars(args) == vars(build_parser().parse_args(argv))
     assert args.cutoff == cutoff
@@ -585,20 +622,21 @@ def test_cli_oversized_cutoff_fails_before_writing(tmp_path, capsys,
                      "--out", str(out)]) == 1
     assert "dimension <= 1024" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "big.json").exists()
-    # also where the search would find no root and print []
+    # optimize certifies at ORACLE_CUTOFF and refuses any --cutoff, also
+    # where the search would find no root and print []
     for extra in ([], ["--delta-range", "0.5", "0.6"]):
         out = tmp_path / "big_opt.json"
-        assert cli_main(["optimize", "--preset", "weak", "--starts", "4", "4",
-                         "--cutoff", "32", "--out", str(out)] + extra) == 1
-        captured = capsys.readouterr()
-        assert "dimension <= 1024" in captured.err and not captured.out
+        _assert_cutoff_refused(["optimize", "--preset", "weak", "--starts",
+                                "4", "4", "--cutoff", "32", "--out",
+                                str(out)] + extra, capsys)
         assert not out.exists()
     assert cli_main(["figure", "2a", "--cutoff", "32",
                      "--out", str(tmp_path / "fig")]) == 1
     assert not (tmp_path / "fig").exists()
 
 
-def test_cli_runs_past_the_dense_superoperator_limit(tmp_path, capsys):
+def test_cli_runs_past_the_dense_superoperator_limit(tmp_path, capsys,
+                                                     request):
     # cutoff 10: the dense superoperator would be 121**2 > 1e4 square
     assert cli_main(["g2", "--preset", "strong", "--cutoff", "10",
                      "--method", "me"]) == 0
@@ -613,10 +651,13 @@ def test_cli_runs_past_the_dense_superoperator_limit(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert len(rows) == 6
     assert not any(cell.startswith("err:") for row in rows for cell in row)
-    assert cli_main(["optimize", "--preset", "weak", "--starts", "4", "4",
-                     "--cutoff", "10", "--out",
-                     str(tmp_path / "c10.json")]) == 0
     capsys.readouterr()
+    # optimize certifies at ORACLE_CUTOFF: a cutoff 10 is refused, unsearched
+    request.getfixturevalue("no_search")
+    _assert_cutoff_refused(["optimize", "--preset", "weak", "--starts", "4",
+                            "4", "--cutoff", "10", "--out",
+                            str(tmp_path / "opt.json")], capsys)
+    assert not (tmp_path / "opt.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
