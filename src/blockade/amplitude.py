@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .model import (SolverError, SystemParams, check_cavity,
-                    hamiltonian_stack, ladder_table)
+                    hamiltonian_stack, ladder_table, raise_named)
 # not called here; perfbench's tracer wraps it here by name
 from .model import non_hermitian_hamiltonian  # noqa: F401
 
@@ -37,6 +37,9 @@ _TABLE = ladder_table(((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)))
 
 class UndefinedCorrelationError(SolverError, ZeroDivisionError):
     """g2(0) requested for a mode with vanishing one-photon amplitude."""
+
+    message = ("cavity {cavity}: one-photon amplitude is 0 at these rates (it "
+               "vanishes, or underflows below the smallest float)")
 
 
 class WeakDrivingWarning(UserWarning):
@@ -153,10 +156,7 @@ def g2_cavity_stack(c: np.ndarray, cavity: int
 def g2_cavity(s: AmplitudeState, cavity: int) -> float:
     """g2(0) of one cavity; see ``g2_cavity_stack``."""
     g2, errors = g2_cavity_stack(np.array([astuple(s)]), cavity)
-    if errors[0]:
-        raise UndefinedCorrelationError(
-            "cavity %d: one-photon amplitude is 0 at these rates (it "
-            "vanishes, or underflows below the smallest float)" % cavity)
+    raise_named(errors[0], cavity=cavity)
     return float(g2[0])
 
 

@@ -7,6 +7,10 @@ file, or an output, --out or a sweep's metadata, over the --params-file or
 the other output) or closed standard output (silently), 2 solver error (also
 a g2 that is not finite).  A run builds the options of its own subcommand
 only; argv that names none (``--help``, an unknown command) builds them all.
+A usage error ends with one usage line, of the subcommand that argv names
+or else of the top level.  ``g2`` is a one-point sweep: it reads the cells
+of ``sweep.g2_columns`` and exits 2 on the first, in ROW_FIELDS order, that
+names a ``model.SolverError``, with the message the class states.
 ``--cutoff`` belongs to the commands whose master-equation solve reads it
 (g2, sweep, figure; default ``lindblad.DEFAULT_CUTOFF``): ``optimize``
 certifies at the fixed ``optimize.ORACLE_CUTOFF``, so another truncation is
@@ -30,14 +34,13 @@ import sys
 
 import numpy as np
 
-from .amplitude import g2_cavity, steady_amplitudes
-from .lindblad import DEFAULT_CUTOFF, g2_mode, steady_rho
-from .model import (PRESETS, SolverError, SystemParams, g2_basis, load_params,
-                    to_json)
+from .lindblad import DEFAULT_CUTOFF
+from .model import (PRESETS, SolverError, SystemParams, load_params,
+                    raise_named, to_json)
 from .optimize import (STRONG_GRID, WEAK_GRID, SearchGrid, find_optimal_pairs,
                        pairs_to_json)
-from .sweep import (AXES, FIGURE_IDS, SweepSpec, _metadata_path,
-                    figure_dataset, run_sweep, write_csv)
+from .sweep import (AXES, FIGURE_IDS, ROW_FIELDS, SweepSpec, _metadata_path,
+                    figure_dataset, g2_columns, run_sweep, write_csv)
 
 SOLVER_ERRORS = (SolverError, np.linalg.LinAlgError, FloatingPointError)
 
@@ -152,6 +155,7 @@ def build_parser(command: str | None = None) -> _Parser:
         sp = sub.add_parser(name, help=help_text, formatter_class=fmt)
         if command not in _COMMANDS or command == name:
             add_options(sp)
+    ap.commands = sub.choices       # name -> its subparser
     return ap
 
 
@@ -159,18 +163,16 @@ _METHOD = {"amp": "amplitude", "me": "lindblad", "both": "both"}
 
 
 def _cmd_g2(args) -> int:
-    p = _base_params(args)
-    cavities = (1, 2) if args.cavity == "both" else (int(args.cavity),)
-    basis = None if args.method == "amp" else g2_basis(args.cutoff)
     out = {}
-    if args.method != "me":
-        s = steady_amplitudes(p)
-        out.update(("g2_%d_amp" % c, g2_cavity(s, c)) for c in cavities)
-    if basis is not None:
-        rho = steady_rho(p, basis)
-        g2_n = {c: g2_mode(rho, basis, c) for c in cavities}
-        out.update(("g2_%d_me" % c, g2_n[c][0]) for c in cavities)
-        out.update(("n%d" % c, g2_n[c][1]) for c in cavities)
+    # the amplitude cells, then the master-equation ones: the first solver
+    # error, in ROW_FIELDS order, ends the run before the next method's solve
+    for _, values, errors in g2_columns(_base_params(args),
+                                        _METHOD[args.method], args.cavity,
+                                        args.cutoff):
+        out.update((k, float(values[k][0])) for k in ROW_FIELDS if k in values)
+        for key in ROW_FIELDS[1:5]:     # g2 fields; n_j has g2_j_me's error
+            raise_named(errors.get(key, [""])[0], cavity=key[3],
+                        n=out.get("n" + key[3]))
     if not np.isfinite(list(out.values())).all():
         raise FloatingPointError("g2 not finite: %s" % out)
     print(to_json(out, allow_nan=False))
@@ -233,12 +235,16 @@ _COMMANDS = {
 
 def cli_main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
+    command = argv[0] if argv else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        # the usage of the subcommand that argv names, else the top level's,
+        # on one line: the last line of stderr
+        usage = parser.commands.get(command, parser).format_usage()
+        print(" ".join(usage.split()), file=sys.stderr)
         return 1
     _, _, run = _COMMANDS[args.command]
     try:

@@ -55,7 +55,7 @@ import numpy as np
 
 from .model import (FockBasis, SolverError, SystemParams, check_cavity,
                     g2_basis, g2_cutoff_error, hamiltonian_stack,
-                    non_hermitian_hamiltonian, two_mode_ops)
+                    non_hermitian_hamiltonian, raise_named, two_mode_ops)
 # not called here; perfbench's tracer wraps it here by name
 from .model import effective_hamiltonian  # noqa: F401
 
@@ -94,22 +94,33 @@ class DimensionOverflowError(ValueError):
 class SingularLiouvillianError(SolverError, np.linalg.LinAlgError):
     """Steady-state solve failed (dense or jump-map)."""
 
+    message = "H_nh could not be diagonalized"
+
 
 class SteadyStateConvergenceError(SingularLiouvillianError):
     """Jump-map iteration did not converge within MAX_ITERATIONS steps."""
+
+    message = "jump-map iteration did not converge in {MAX_ITERATIONS} steps"
 
 
 class SteadyStateResidualError(SingularLiouvillianError):
     """Jump-map iteration stopped with a scaled residual above
     RESIDUAL_GATE."""
 
+    message = "jump-map iteration stopped at a scaled residual above " \
+        "{RESIDUAL_GATE}"
+
 
 class EmptyModeError(SolverError, ZeroDivisionError):
     """g2(0) requested for a mode with negligible occupation."""
 
+    message = "mode occupation {n:g} underflows"
+
 
 class UnphysicalStateError(SolverError, ValueError):
     """Density-matrix invariants (trace/Hermiticity/positivity) violated."""
+
+    message = "steady state failed the density-matrix check"
 
 
 def liouvillian(p: SystemParams, basis: FockBasis) -> np.ndarray:
@@ -210,64 +221,60 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     rho[:, one, one] = 1.0
     m_rho = _moments(weights, rho)
     changes, previous = [], None        # changes: the last 2*STALL_STEPS
-    for _ in range(MAX_ITERATIONS):
-        hr = h @ rho                    # rho H^dag = (H rho)^dag
-        resid = -1j * (hr - hr.conj().swapaxes(1, 2)) + jump(rho)
-        image = rho - v @ ((w @ resid @ w_h) / den) @ v_h
-        image = 0.5 * (image + image.conj().swapaxes(1, 2))
-        image /= image.trace(axis1=1, axis2=2).real[:, None, None]
-        m_image = _moments(weights, image)
-        change = np.max(np.abs(m_image - m_rho) / np.maximum(
-            np.abs(m_image), MOMENT_FLOOR), axis=(1, 2))
-        changes = changes[1 - 2 * STALL_STEPS:] + [change]
-        done = change <= MOMENT_TOL
-        if len(changes) == 2 * STALL_STEPS and change.min() <= STALL_TOL:
-            history = np.array(changes)
-            recent = history[STALL_STEPS:].max(axis=0)
-            done |= (recent <= STALL_TOL) & (
-                recent >= history[:STALL_STEPS].max(axis=0))
-        finished = np.flatnonzero(done)
-        if len(finished):
-            physical = _density_checks(image[finished])[1].all(axis=1)
-            n = m_rho[finished, :2, 0].sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
+    # an iterate that goes NaN (rates near 1e200) and the score of a state
+    # with no photons divide without a warning: the gate or the step cap
+    # flags those points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_ITERATIONS):
+            hr = h @ rho                    # rho H^dag = (H rho)^dag
+            resid = -1j * (hr - hr.conj().swapaxes(1, 2)) + jump(rho)
+            image = rho - v @ ((w @ resid @ w_h) / den) @ v_h
+            image = 0.5 * (image + image.conj().swapaxes(1, 2))
+            image /= image.trace(axis1=1, axis2=2).real[:, None, None]
+            m_image = _moments(weights, image)
+            change = np.max(np.abs(m_image - m_rho) / np.maximum(
+                np.abs(m_image), MOMENT_FLOOR), axis=(1, 2))
+            changes = changes[1 - 2 * STALL_STEPS:] + [change]
+            done = change <= MOMENT_TOL
+            if len(changes) == 2 * STALL_STEPS and change.min() <= STALL_TOL:
+                history = np.array(changes)
+                recent = history[STALL_STEPS:].max(axis=0)
+                done |= (recent <= STALL_TOL) & (
+                    recent >= history[:STALL_STEPS].max(axis=0))
+            finished = np.flatnonzero(done)
+            if len(finished):
+                physical = _density_checks(image[finished])[1].all(axis=1)
+                n = m_rho[finished, :2, 0].sum(axis=1)
                 score = np.abs(resid[finished]).max(axis=(1, 2)) \
                     / (p.kappa * n)
-            errors[live[finished]] = "SteadyStateResidualError"
-            errors[live[finished[~physical]]] = "UnphysicalStateError"
-            valid = finished[physical & (score <= RESIDUAL_GATE)]  # NaN fails
-            rho_out[live[valid]], errors[live[valid]] = image[valid], ""
-        if len(finished) == len(live):
-            break
-        step = image - rho
-        rho = image
-        if previous is not None:
-            d_step = step - previous[1]
-            row = d_step.reshape(len(live), 1, -1).conj()  # np.vdot rounds so
-            norm = (row @ d_step.reshape(len(live), -1, 1)).real
-            dot = (row @ step.reshape(len(live), -1, 1)).real
-            # the least-squares weight clipped to [0, 1]; 0 where norm = 0
-            weight = np.minimum(np.maximum(dot, 0.0), norm) \
-                / np.maximum(norm, _SMALLEST)
-            rho = image - weight * (image - previous[0])
-        previous = (image, step)
-        m_rho = _moments(weights, rho)
-        if len(finished):
-            keep = ~done
-            live, h, v, w, v_h, w_h, den, rho, m_rho = (
-                x[keep] for x in (live, h, v, w, v_h, w_h, den, rho, m_rho))
-            changes = [c[keep] for c in changes]
-            previous = (image[keep], step[keep])
+                errors[live[finished]] = "SteadyStateResidualError"
+                errors[live[finished[~physical]]] = "UnphysicalStateError"
+                # a NaN score fails
+                valid = finished[physical & (score <= RESIDUAL_GATE)]
+                rho_out[live[valid]], errors[live[valid]] = image[valid], ""
+            if len(finished) == len(live):
+                break
+            step = image - rho
+            rho = image
+            if previous is not None:
+                d_step = step - previous[1]
+                # the conjugate row first, as np.vdot rounds
+                row = d_step.reshape(len(live), 1, -1).conj()
+                norm = (row @ d_step.reshape(len(live), -1, 1)).real
+                dot = (row @ step.reshape(len(live), -1, 1)).real
+                # the least-squares weight clipped to [0, 1]; 0 where norm = 0
+                weight = np.minimum(np.maximum(dot, 0.0), norm) \
+                    / np.maximum(norm, _SMALLEST)
+                rho = image - weight * (image - previous[0])
+            previous = (image, step)
+            m_rho = _moments(weights, rho)
+            if len(finished):
+                keep = ~done
+                live, h, v, w, v_h, w_h, den, rho, m_rho = (x[keep] for x in (
+                    live, h, v, w, v_h, w_h, den, rho, m_rho))
+                changes = [c[keep] for c in changes]
+                previous = (image[keep], step[keep])
     return rho_out, errors
-
-
-_ERRORS = {cls.__name__: (cls, msg) for cls, msg in (
-    (SingularLiouvillianError, "H_nh could not be diagonalized"),
-    (SteadyStateConvergenceError,
-     "jump-map iteration did not converge in {steps} steps"),
-    (SteadyStateResidualError,
-     "jump-map iteration stopped at a scaled residual above {gate}"),
-    (UnphysicalStateError, "steady state failed the density-matrix check"))}
 
 
 def steady_rho(p: SystemParams, basis: FockBasis) -> np.ndarray:
@@ -276,9 +283,7 @@ def steady_rho(p: SystemParams, basis: FockBasis) -> np.ndarray:
     Raises the error that ``steady_rho_stack`` names for the point.
     """
     rho, errors = steady_rho_stack(p, basis)
-    if errors[0]:
-        cls, msg = _ERRORS[errors[0]]
-        raise cls(msg.format(steps=MAX_ITERATIONS, gate=RESIDUAL_GATE))
+    raise_named(errors[0])
     return rho[0]
 
 
@@ -369,8 +374,7 @@ def g2_mode(rho: np.ndarray, basis: FockBasis, cavity: int
             ) -> tuple[float, float]:
     """(g2, n) of one cavity; see ``g2_stack``."""
     g2, n, errors = g2_stack(rho[None], basis, cavity)
-    if errors[0]:
-        raise EmptyModeError("mode occupation %g underflows" % n[0])
+    raise_named(errors[0], n=n[0])
     return float(g2[0]), float(n[0])
 
 

@@ -32,6 +32,7 @@ is built on first use and read by every solve on it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -177,9 +178,27 @@ class InvalidCutoffError(ValueError):
 class SolverError(Exception):
     """Base of the per-point solver failures.  A stacked solve or g2 read
     names each point's failure by its class name ("" where the point is
-    fine), its one-point case raises that class, and a sweep writes the name
-    into the point's cells as ``err:<name>``.  Each subclass keeps a second
+    fine), and a sweep writes the name into the point's cells as
+    ``err:<name>``.  Each subclass states its message once, as the template
+    ``message``, and ``raise_named`` raises it from the name: the one-point
+    cases do, and so does the ``g2`` command.  Each subclass keeps a second
     base (ZeroDivisionError, LinAlgError or ValueError)."""
+
+    named = {}      # every subclass, by its name
+
+    def __init_subclass__(cls):
+        SolverError.named[cls.__name__] = cls
+
+
+def raise_named(name: str, **fields) -> None:
+    """Raise the SolverError subclass called ``name``, if there is one ("" is
+    a point without failure).  Its ``message`` is filled in from ``fields``
+    (a template ignores those it does not name), then from the current
+    globals of the module that defines the class."""
+    cls = SolverError.named.get(name)
+    if cls is not None:
+        raise cls(cls.message.format_map(
+            {**vars(sys.modules[cls.__module__]), **fields}))
 
 
 @dataclass(frozen=True)

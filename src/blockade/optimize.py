@@ -216,7 +216,9 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
                          grid.starts(), box, tol)
     roots: list[np.ndarray] = []
     for x in ends[~np.isnan(ends[:, 0])]:
-        if all(np.linalg.norm(x - r) >= DEDUPE_DIST for r in roots):
+        # hypot scales before it squares: ends 1e200 apart have a finite
+        # distance, where norm's dot overflows
+        if all(np.hypot(*(x - r)) >= DEDUPE_DIST for r in roots):
             roots.append(x)
 
     ordered = np.reshape(sorted(roots, key=lambda r: r[0]), (-1, 2))

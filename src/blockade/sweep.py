@@ -3,13 +3,14 @@
 Sweep axes are in the internal Hamiltonian convention; ``axis_flip``
 negates the emitted axis values of a delta sweep, and is refused on other
 axes (the published figures plot the detuning with the opposite sign).
-Each column is an array from the stacked solves and g2s, equal bit for bit
-to their one-point cases; the CSV is written from the columns, and Python
-touches each point only to assemble ``SweepResult.rows``.  Cells carry
-sentinel strings ``err:<name>`` where a stack names a per-point solver
-failure (a ``model.SolverError``) and ``err:FloatingPointError`` where an
-amplitude g2 is not finite; metadata lives in a sibling JSON file, never
-inline.
+``g2_columns`` is the one table of g2 cells: it runs the stacked solves and
+g2s over the points a sweep gives, or over one point for the ``g2``
+command, and each of its columns equals the one-point cases bit for bit.
+The CSV is written from the columns, and Python touches each point only to
+assemble ``SweepResult.rows``.  Cells carry sentinel strings ``err:<name>``
+where a stack names a per-point solver failure (a ``model.SolverError``)
+and ``err:FloatingPointError`` where an amplitude g2 is not finite;
+metadata lives in a sibling JSON file, never inline.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from . import __version__
 from .amplitude import g2_cavity_stack, steady_amplitude_stack
 from .lindblad import DEFAULT_CUTOFF, g2_stack, steady_rho_stack
-from .model import (SystemParams, check_range, g2_basis, strong_params,
-                    to_json, weak_params)
+from .model import (SystemParams, check_range, g2_basis, stacked_rates,
+                    strong_params, to_json, weak_params)
 from .optimize import STRONG_GRID, WEAK_GRID
 # not called here; perfbench's tracer wraps them here by name
 from .amplitude import g2_cavity, steady_amplitudes  # noqa: F401
@@ -98,40 +99,49 @@ class SweepResult:
 
 
 def _cells(values: np.ndarray, errors: np.ndarray) -> np.ndarray:
-    """One cell per point: its value, or ``err:<name>`` where ``errors``,
-    a stack's per-point error names, names a solver failure."""
+    """One cell per point: its value, or ``err:<name>`` where ``errors``
+    names a failure."""
     return np.where(errors == "", values.astype(object), "err:" + errors)
 
 
-def _amplitude_columns(spec: SweepSpec, values: np.ndarray,
-                       columns: dict) -> None:
-    """g2_j_amp of every point from one stacked amplitude solve."""
-    amps = steady_amplitude_stack(spec.base,
-                                  **{_AXIS_FIELD[spec.axis]: values})
-    for cav in (1, 2) if spec.cavity == "both" else (int(spec.cavity),):
-        g2, errors = g2_cavity_stack(amps, cav)
-        columns["g2_%d_amp" % cav] = _cells(np.where(
-            np.isfinite(g2), g2.astype(object), "err:FloatingPointError"),
-            errors)
+def g2_columns(p: SystemParams, method: str, cavity: str, cutoff: int,
+               **arrays):
+    """The g2 cells of ROW_FIELDS[1:] that ``method`` and ``cavity`` ask
+    for, as ``SweepSpec`` names them, at the points of
+    ``stacked_rates(p, arrays)``: one point if no array is given.
 
-
-def _lindblad_columns(spec: SweepSpec, values: np.ndarray,
-                      columns: dict) -> None:
-    """g2_j_me and n_j of every point, from stacked master-equation solves
-    of STACK_ENTRIES // d**2 points at a time."""
-    cavities = (1, 2) if spec.cavity == "both" else (int(spec.cavity),)
-    basis = g2_basis(spec.cutoff)
-    chunk = max(1, STACK_ENTRIES // basis.dim ** 2)
-    for start in range(0, len(values), chunk):
-        part = slice(start, start + chunk)
-        rhos, errors = steady_rho_stack(spec.base, basis, **{
-            _AXIS_FIELD[spec.axis]: values[part]})
+    Yields (part, values, errors) per stacked solve, the amplitude one
+    first: ``part`` slices the points it solved, values are float arrays
+    and errors per-point names, "" where the value stands.  An amplitude g2
+    that is not finite is named FloatingPointError.  The master equation is
+    solved STACK_ENTRIES // d**2 points at a time, and a void state names
+    its error in all four of its fields, asked for or not.  A cutoff that
+    ``g2_basis`` rejects raises before any solve.
+    """
+    basis = None if method == "amplitude" else g2_basis(cutoff)
+    cavities = (1, 2) if cavity == "both" else (int(cavity),)
+    if method != "lindblad":
+        amps = steady_amplitude_stack(p, **arrays)
+        values, errors = {}, {}
         for cav in cavities:
-            g2, n, g2_errors = g2_stack(rhos, basis, cav)
-            for key, x in (("g2_%d_me" % cav, g2), ("n%d" % cav, n)):
-                columns[key][part] = _cells(x, g2_errors)
-        for key in ROW_FIELDS[3:]:          # a void state voids all four
-            columns[key][part] = _cells(columns[key][part], errors)
+            g2, names = g2_cavity_stack(amps, cav)
+            names[(names == "") & ~np.isfinite(g2)] = "FloatingPointError"
+            values["g2_%d_amp" % cav], errors["g2_%d_amp" % cav] = g2, names
+        yield slice(None), values, errors
+    if basis is not None:
+        chunk = max(1, STACK_ENTRIES // basis.dim ** 2)
+        for start in range(0, len(stacked_rates(p, arrays)[0]), chunk):
+            part = slice(start, start + chunk)
+            rhos, void = steady_rho_stack(p, basis, **{
+                k: v[part] for k, v in arrays.items()})
+            # a void state voids all four fields, asked for or not
+            values, errors = {}, dict.fromkeys(ROW_FIELDS[3:], void)
+            for cav in cavities:
+                g2, n, names = g2_stack(rhos, basis, cav)
+                names = np.where(void == "", names, void)
+                for key, x in (("g2_%d_me" % cav, g2), ("n%d" % cav, n)):
+                    values[key], errors[key] = x, names
+            yield part, values, errors
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -143,10 +153,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                               ).astype(object),
                **{k: np.full(len(values), "", dtype=object)
                   for k in ROW_FIELDS[1:]}}
-    if spec.method != "lindblad":
-        _amplitude_columns(spec, values, columns)
-    if spec.method != "amplitude":
-        _lindblad_columns(spec, values, columns)
+    for part, numbers, errors in g2_columns(
+            spec.base, spec.method, spec.cavity, spec.cutoff,
+            **{_AXIS_FIELD[spec.axis]: values}):
+        for k, e in errors.items():     # unasked fields keep their "" cells
+            columns[k][part] = _cells(numbers.get(k, columns[k][part]), e)
     meta = {"params": spec.base.to_dict(),        # then the spec's fields
             **{k: v for k, v in vars(spec).items() if k != "base"},
             "range": list(spec.range), "code_version": __version__,

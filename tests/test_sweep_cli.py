@@ -9,21 +9,23 @@ import numpy as np
 import pytest
 
 from blockade.amplitude import UndefinedCorrelationError, \
-    WeakDrivingWarning, g2_cavity, steady_amplitudes
+    WeakDrivingWarning, g2_cavity, g2_from_amplitudes, steady_amplitudes
 import blockade.amplitude
 import blockade.cli
 import blockade.lindblad
 import blockade.optimize
 import blockade.sweep
 from blockade.cli import build_parser, cli_main
-from blockade.lindblad import (EmptyModeError, SingularLiouvillianError,
+from blockade.lindblad import (DEFAULT_CUTOFF, EmptyModeError,
+                               SingularLiouvillianError,
                                SteadyStateConvergenceError,
                                SteadyStateResidualError, UnphysicalStateError,
                                g2_mode, steady_g2, steady_rho)
 from blockade.sweep import (FIGURE_IDS, MAX_POINTS, ROW_FIELDS, SweepSpec,
                             figure_dataset, run_sweep, write_csv)
-from blockade.model import (FockBasis, SolverError, strong_params,
-                            two_mode_ops, weak_params)
+from blockade.model import (PRESETS, FockBasis, SolverError, g2_basis,
+                            strong_params, two_mode_ops, weak_params)
+from blockade.optimize import STRONG_GRID, WEAK_GRID
 
 
 def _g2_1_amp(rows):
@@ -146,8 +148,9 @@ def test_a_named_solver_error_reaches_the_sweep_the_cli_and_the_oracle(
         cls, monkeypatch, tmp_path, capsys):
     # the stack names cls at one point of its first call; each reader of it
     # (the sweep's cells, the g2 command, the optimizer's oracle) reports
-    # that point alone, through SolverError, with nothing else failing
-    assert issubclass(cls, SolverError)
+    # that point alone, through SolverError, with nothing else failing; the
+    # g2 command says what the one-point reader raises, from one template
+    assert issubclass(cls, SolverError) and cls.message
     module, stack = _NAMED_BY[cls]
     original = getattr(module, stack)
 
@@ -175,10 +178,19 @@ def test_a_named_solver_error_reaches_the_sweep_the_cli_and_the_oracle(
             if str(rows[2][k]).startswith("err:")} == {"err:" + cls.__name__}
 
     name_at(0)
+    p, basis = weak_params(), g2_basis(DEFAULT_CUTOFF)
+    with pytest.raises(cls) as raised:
+        if module is blockade.amplitude:
+            g2_cavity(steady_amplitudes(p), 1)
+        else:
+            g2_mode(steady_rho(p, basis), basis, 1)
+    name_at(0)
     method = "amp" if module is blockade.amplitude else "me"
     assert cli_main(["g2", "--preset", "weak", "--method", method]) == 2
     out, err = capsys.readouterr()
-    assert not out and err.startswith("solver error: %s: " % cls.__name__)
+    assert str(raised.value)
+    assert not out
+    assert err == "solver error: %s: %s\n" % (cls.__name__, raised.value)
 
     name_at(0)
     assert cli_main(["optimize", "--preset", "weak", "--starts", "4", "4",
@@ -189,6 +201,25 @@ def test_a_named_solver_error_reaches_the_sweep_the_cli_and_the_oracle(
     named = module is blockade.lindblad
     assert len(checks) >= 2
     assert [q is None for q in checks] == [named] + [False] * (len(checks) - 1)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_g2_command_equals_the_one_point_api(preset, cutoff, capsys):
+    # bit for bit at seeded random points of the preset's search box: the
+    # command reads the stacks' one-point table, not the one-point readers
+    rng = np.random.default_rng(cutoff)
+    grid = WEAK_GRID if preset == "weak" else STRONG_GRID
+    for _ in range(4):
+        delta, lam = (rng.uniform(*r)
+                      for r in (grid.delta_range, grid.lambda_range))
+        assert cli_main(["g2", "--preset", preset, "--delta", repr(delta),
+                         "--lambda", repr(lam), "--cutoff", str(cutoff),
+                         "--method", "both"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        p = PRESETS[preset](delta=-delta, lambda_gain=lam)
+        want = g2_from_amplitudes(steady_amplitudes(p)) + steady_g2(p, cutoff)
+        assert list(got.items()) == list(zip(ROW_FIELDS[1:], want))
 
 
 def _value_or_error(fun, *args):
@@ -495,6 +526,22 @@ def test_per_command_parser_prints_what_the_full_parser_prints(
     monkeypatch.setattr(blockade.cli, "build_parser",
                         lambda command=None: full())
     assert _run(argv, capsys) == got
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["optimize", "--preset", "weak", "--cutoff", "4"], "blockade optimize "),
+    (["sweep", "--preset", "weak", "--out", "x.csv"], "blockade sweep "),
+    (["g2", "--preset", "bogus"], "blockade g2 "),
+    (["bogus", "--preset", "weak"], "blockade [-h] {"),
+    ([], "blockade [-h] {"),
+])
+def test_a_usage_error_ends_with_the_usage_line_of_its_command(argv, usage,
+                                                               capsys):
+    # the subcommand that argv names, else the top level; on one line
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("usage: " + usage)
+    assert len(err.splitlines()) == 2
 
 
 def _assert_cutoff_refused(argv, capsys):
@@ -822,6 +869,20 @@ def _cli_process(argv, cwd):
                           cwd=cwd, capture_output=True, text=True,
                           env=_cli_env(), timeout=60)
     return done.returncode, done.stdout, done.stderr
+
+
+def test_a_huge_search_box_warns_nothing(tmp_path):
+    # ends 1e200 apart: the dedupe's distance and the oracle's void states
+    # raise no numpy warning, so the run under -W error prints the same
+    argv = ["optimize", "--preset", "weak", "--starts", "5", "4",
+            "--delta-range", "-1e200", "1e200", "--keep-uncertified"]
+    plain, strict = (subprocess.run(
+        [sys.executable, *flags, "-m", "blockade.cli", *argv], cwd=tmp_path,
+        capture_output=True, text=True, env=_cli_env(), timeout=60)
+        for flags in ([], ["-W", "error"]))
+    assert (strict.returncode, strict.stderr) == (0, "")
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert strict.stdout == plain.stdout and json.loads(strict.stdout)
 
 
 def test_cli_closed_stdout_exits_1_quietly():
