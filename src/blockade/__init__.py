@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "model": ("SystemParams", "weak_params", "strong_params", "cpb_detunings",
-              "effective_hamiltonian", "non_hermitian_hamiltonian",
-              "FockBasis", "annihilation", "two_mode_ops", "SolverError"),
+              "FockBasis", "SolverError"),
     "amplitude": ("AmplitudeState", "steady_amplitudes",
                   "analytic_coefficients", "g2_from_amplitudes"),
     "lindblad": ("steady_rho", "steady_rho_stack", "g2_from_rho",

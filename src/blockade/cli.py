@@ -8,9 +8,11 @@ the other output) or closed standard output (silently), 2 solver error (also
 a g2 that is not finite).  A run builds the options of its own subcommand
 only; argv that names none (``--help``, an unknown command) builds them all.
 A usage error ends with one usage line, of the subcommand that argv names
-or else of the top level.  ``g2`` is a one-point sweep: it reads the cells
-of ``sweep.g2_columns`` and exits 2 on the first, in ROW_FIELDS order, that
-names a ``model.SolverError``, with the message the class states.
+or else of the top level.  ``g2`` is a one-point sweep: it runs every
+solve of ``sweep.g2_columns`` that ``--method`` asks for, so rates that
+overflow either method's H exit 1, and then exits 2 on the first cell, in
+ROW_FIELDS order, that names a ``model.SolverError``, with the message the
+class states.
 ``--cutoff`` belongs to the commands whose master-equation solve reads it
 (g2, sweep, figure; default ``lindblad.DEFAULT_CUTOFF``): ``optimize``
 certifies at the fixed ``optimize.ORACLE_CUTOFF``, so another truncation is
@@ -163,16 +165,17 @@ _METHOD = {"amp": "amplitude", "me": "lindblad", "both": "both"}
 
 
 def _cmd_g2(args) -> int:
-    out = {}
-    # the amplitude cells, then the master-equation ones: the first solver
-    # error, in ROW_FIELDS order, ends the run before the next method's solve
-    for _, values, errors in g2_columns(_base_params(args),
-                                        _METHOD[args.method], args.cavity,
-                                        args.cutoff):
-        out.update((k, float(values[k][0])) for k in ROW_FIELDS if k in values)
-        for key in ROW_FIELDS[1:5]:     # g2 fields; n_j has g2_j_me's error
-            raise_named(errors.get(key, [""])[0], cavity=key[3],
-                        n=out.get("n" + key[3]))
+    values, errors = {}, {}
+    # every solve runs before the first solver error, in ROW_FIELDS order,
+    # is raised: rates that overflow either method's H are a usage error
+    for _, v, e in g2_columns(_base_params(args), _METHOD[args.method],
+                              args.cavity, args.cutoff):
+        values.update(v)
+        errors.update(e)
+    out = {k: float(values[k][0]) for k in ROW_FIELDS if k in values}
+    for key in ROW_FIELDS[1:5]:     # g2 fields; n_j has g2_j_me's error
+        raise_named(errors.get(key, [""])[0], cavity=key[3],
+                    n=out.get("n" + key[3]))
     if not np.isfinite(list(out.values())).all():
         raise FloatingPointError("g2 not finite: %s" % out)
     print(to_json(out, allow_nan=False))

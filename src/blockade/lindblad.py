@@ -22,9 +22,11 @@ dark vacuum (drive off or barely on, gain on) the division by D_ii would
 amplify rounding by up to 1e12, and the trace normalization sets that
 weight exactly, as the trace row does in the dense solve.  A point stops
 when its moments stop changing, or at their rounding floor, read from the
-changes over the last four steps; it is kept only if the residual of its
-last iterate, max|R| / (kappa (n_1 + n_2)), is at most RESIDUAL_GATE, and
-is flagged SteadyStateResidualError otherwise.
+changes over the last four steps, or at once when its iterate goes NaN
+(H_nh's eigenvalues near the float range), which then fails the
+density-matrix check; it is kept only if the residual of its last
+iterate, max|R| / (kappa (n_1 + n_2)), is at most RESIDUAL_GATE, and is
+flagged SteadyStateResidualError otherwise.
 
 Every step is the same few matrix products at every point, so a whole
 stack of N points (one H_nh each, the swept rates given as arrays) runs as
@@ -45,17 +47,20 @@ ravel order), so vec(A @ rho @ B) = kron(A, B.T) @ vec(rho):
 L = -i (H_nh (x) 1 - 1 (x) conj(H_nh)) + kappa sum_j a_j (x) conj(a_j).
 With ``steady_state`` (a trace-constrained linear solve, O(d^6)) it is the
 independent reference that the tests and demos check ``steady_rho``
-against; neither is public API.  As the only code that builds a
-superoperator it alone refuses d*d > 1e4 (cutoff 9 takes 1.6 GB).
+against; neither it nor the operators it is built from is public API.  As
+the only code that builds a superoperator it alone refuses d*d > 1e4
+(cutoff 9 takes 1.6 GB), with the ``model.InvalidCutoffError`` of every
+truncation that a solver refuses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import (FockBasis, SolverError, SystemParams, check_cavity,
-                    g2_basis, g2_cutoff_error, hamiltonian_stack,
-                    non_hermitian_hamiltonian, raise_named, two_mode_ops)
+from .model import (FockBasis, InvalidCutoffError, SolverError,
+                    SystemParams, check_cavity, g2_basis, g2_cutoff_error,
+                    hamiltonian_stack, non_hermitian_hamiltonian, raise_named,
+                    two_mode_ops)
 # not called here; perfbench's tracer wraps it here by name
 from .model import effective_hamiltonian  # noqa: F401
 
@@ -85,10 +90,6 @@ MAX_ITERATIONS = 2000
 # 0.3 kappa).
 DEFAULT_CUTOFF = 3
 _SMALLEST = np.finfo(float).smallest_subnormal
-
-
-class DimensionOverflowError(ValueError):
-    """Dense superoperator dimension above 1e4."""
 
 
 class SingularLiouvillianError(SolverError, np.linalg.LinAlgError):
@@ -126,8 +127,8 @@ class UnphysicalStateError(SolverError, ValueError):
 def liouvillian(p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Dense Liouvillian of the dissipative dynamics, shape (d*d, d*d)."""
     if basis.dim ** 2 > 10 ** 4:
-        raise DimensionOverflowError("superoperator dimension %d > 1e4"
-                                     % basis.dim ** 2)
+        raise InvalidCutoffError("superoperator dimension %d > 1e4"
+                                 % basis.dim ** 2)
     h = non_hermitian_hamiltonian(p, basis)
     eye = np.eye(basis.dim, dtype=complex)
     liouv = np.kron(h, eye)             # in place: one full-size temporary
@@ -174,7 +175,8 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     Returns the (N, d, d) states and per point "" or the name of the error
     that voids its state (NaN): SingularLiouvillianError where H_nh cannot
     be diagonalized, SteadyStateConvergenceError after MAX_ITERATIONS steps,
-    UnphysicalStateError where the check fails, SteadyStateResidualError
+    UnphysicalStateError where the check fails (as it does on the step
+    where an iterate goes NaN, which ends the point), SteadyStateResidualError
     where the residual of the last iterate, max|R| / (kappa (n_1 + n_2)),
     is above RESIDUAL_GATE (or NaN).
     """
@@ -192,14 +194,13 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
         return rho_out, errors
     h, lam, v, w = (x[live] for x in (h, lam, v, w))
     v_h, w_h = v.conj().swapaxes(1, 2), w.conj().swapaxes(1, 2)
-    den = -1j * (lam[:, :, None] - lam.conj()[:, None, :])
     # the dressed vacuum: D_i0i0 = 2 Im lam_i0 would amplify rounding by
-    # over 1/DARK_TOL, so its own equation is dropped and the trace row takes
-    # its place (L keeps the trace, so it holds at the fixed point)
+    # over 1/DARK_TOL, so its own equation is dropped (D_i0i0 = inf below)
+    # and the trace row takes its place (L keeps the trace, so it holds at
+    # the fixed point)
     rate = np.abs(lam.imag)
     i0 = rate.argmin(axis=1)
     near = np.flatnonzero(rate.min(axis=1) < DARK_TOL * p.kappa)
-    den[near, i0[near], i0[near]] = np.inf
     # a_j lowers the flat index by m_j, that of mode j's one-photon state:
     # its nonzero entries are s_j = sqrt(n_j) of the states from m_j on, on
     # the diagonal at offset m_j (zero where n_j = 0).  So kappa J(rho) is a
@@ -221,10 +222,13 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
     rho[:, one, one] = 1.0
     m_rho = _moments(weights, rho)
     changes, previous = [], None        # changes: the last 2*STALL_STEPS
-    # an iterate that goes NaN (rates near 1e200) and the score of a state
-    # with no photons divide without a warning: the gate or the step cap
-    # flags those points
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # D overflows where H_nh's eigenvalues are huge, an iterate may go NaN
+    # (rates near 1e200) and a state with no photons scores x/0, all without
+    # a warning: a NaN iterate stops at once and fails the density check,
+    # and the gate flags a NaN score
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        den = -1j * (lam[:, :, None] - lam.conj()[:, None, :])
+        den[near, i0[near], i0[near]] = np.inf
         for _ in range(MAX_ITERATIONS):
             hr = h @ rho                    # rho H^dag = (H rho)^dag
             resid = -1j * (hr - hr.conj().swapaxes(1, 2)) + jump(rho)
@@ -235,7 +239,7 @@ def steady_rho_stack(p: SystemParams, basis: FockBasis, **arrays
             change = np.max(np.abs(m_image - m_rho) / np.maximum(
                 np.abs(m_image), MOMENT_FLOOR), axis=(1, 2))
             changes = changes[1 - 2 * STALL_STEPS:] + [change]
-            done = change <= MOMENT_TOL
+            done = ~(change > MOMENT_TOL)       # NaN: done, and unphysical
             if len(changes) == 2 * STALL_STEPS and change.min() <= STALL_TOL:
                 history = np.array(changes)
                 recent = history[STALL_STEPS:].max(axis=0)

@@ -26,7 +26,12 @@ the reporting flip explicitly where documented.
 
 A ``FockBasis`` keeps n_max_j photons at most in mode j, with |n1, n2> at
 flat index n1 * (n_max_2 + 1) + n2.  Its ``table``, its ``ladder_table``,
-is built on first use and read by every solve on it.
+is built on first use and read by every solve on it, so no solve builds a
+ladder operator.  ``two_mode_ops`` (the ladder operators),
+``non_hermitian_hamiltonian`` (H_nh on a FockBasis) and
+``effective_hamiltonian`` serve the dense master-equation reference,
+``lindblad.liouvillian``, and the tests that check the table against the
+ladder products; they are not public API (not in ``blockade.__all__``).
 """
 
 from __future__ import annotations
@@ -171,8 +176,9 @@ MAX_DIM = 1024      # cutoffs 31, 31: a steady-state solve takes ~20 s, 434 MB
 
 
 class InvalidCutoffError(ValueError):
-    """Photon-number cutoff below 1 (below 2 for a g2), or a basis dimension
-    above MAX_DIM."""
+    """A truncation that a solver refuses: a photon-number cutoff below 1
+    (below 2 for a g2), a basis dimension above MAX_DIM, or a dense
+    superoperator above 1e4 rows (``lindblad.liouvillian``)."""
 
 
 class SolverError(Exception):
@@ -250,26 +256,12 @@ def g2_cutoff_error(cutoff: int) -> InvalidCutoffError:
                               "photons at cutoff 1), got %r" % cutoff)
 
 
-def annihilation(n_max: int) -> np.ndarray:
-    """Single-mode annihilation operator on an (n_max+1)-level ladder."""
-    if n_max < 1:
-        raise InvalidCutoffError("n_max must be >= 1, got %r" % (n_max,))
-    a = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for k in range(1, n_max + 1):
-        a[k - 1, k] = np.sqrt(k)
-    return a
-
-
 def two_mode_ops(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation operators (a1, a2) on the flat two-mode space."""
-    def kron(x, y):     # np.kron(x, y), without its general-shape overhead
-        return np.multiply.outer(x, y).transpose(0, 2, 1, 3).reshape(
-            basis.dim, basis.dim)
-
-    eye1, eye2 = (np.eye(n + 1, dtype=complex)
-                  for n in (basis.n_max_1, basis.n_max_2))
-    return (kron(annihilation(basis.n_max_1), eye2),
-            kron(eye1, annihilation(basis.n_max_2)))
+    """Annihilation operators (a1, a2) on the flat two-mode space: each
+    mode's sqrt(k) superdiagonal, kron the other mode's identity."""
+    a1, a2 = (np.diag(np.sqrt(np.arange(1.0, n + 1)), 1).astype(complex)
+              for n in (basis.n_max_1, basis.n_max_2))
+    return (np.kron(a1, np.eye(len(a2))), np.kron(np.eye(len(a1)), a2))
 
 
 # per off-diagonal term (the drive on cavity 1, the gain in each cavity, the

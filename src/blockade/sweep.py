@@ -111,11 +111,13 @@ def g2_columns(p: SystemParams, method: str, cavity: str, cutoff: int,
     ``stacked_rates(p, arrays)``: one point if no array is given.
 
     Yields (part, values, errors) per stacked solve, the amplitude one
-    first: ``part`` slices the points it solved, values are float arrays
-    and errors per-point names, "" where the value stands.  An amplitude g2
-    that is not finite is named FloatingPointError.  The master equation is
-    solved STACK_ENTRIES // d**2 points at a time, and a void state names
-    its error in all four of its fields, asked for or not.  A cutoff that
+    first, so that ``run_sweep`` fills its columns chunk by chunk: ``part``
+    slices the points it solved, values are float arrays and errors
+    per-point names, "" where the value stands.  The ``g2`` command takes
+    every part before it reads an error.  An amplitude g2 that is not
+    finite is named FloatingPointError.  The master equation is solved
+    STACK_ENTRIES // d**2 points at a time, and a void state names its
+    error in all four of its fields, asked for or not.  A cutoff that
     ``g2_basis`` rejects raises before any solve.
     """
     basis = None if method == "amplitude" else g2_basis(cutoff)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from blockade.model import (FockBasis, InvalidCutoffError, annihilation,
-                            two_mode_ops)
+from blockade.model import FockBasis, InvalidCutoffError, two_mode_ops
 
 
 def _ket(basis, n1, n2):
@@ -10,26 +9,32 @@ def _ket(basis, n1, n2):
     return np.eye(basis.dim, dtype=complex)[basis.flatten(n1, n2)]
 
 
+def _mode_1(n_max):
+    """a1 of FockBasis(n_max, 1) on the states with n2 = 0 (every other flat
+    index): the annihilation operator of one mode, n_max + 1 levels."""
+    return two_mode_ops(FockBasis(n_max, 1))[0][::2, ::2]
+
+
 def test_annihilation_two_level():
-    assert np.array_equal(annihilation(1), np.array([[0, 1], [0, 0]]))
+    assert np.array_equal(_mode_1(1), np.array([[0, 1], [0, 0]]))
 
 
 def test_annihilation_superdiagonal():
-    a = annihilation(2)
+    a = _mode_1(2)
     assert a[0, 1] == pytest.approx(1.0)
     assert a[1, 2] == pytest.approx(np.sqrt(2))
     assert np.count_nonzero(a) == 2
 
 
 def test_number_operator_diagonal():
-    a = annihilation(3)
+    a = _mode_1(3)
     n = a.conj().T @ a
     assert np.allclose(n, np.diag([0.0, 1.0, 2.0, 3.0]))
 
 
 def test_annihilation_rejects_bad_cutoff():
     with pytest.raises(InvalidCutoffError):
-        annihilation(0)
+        _mode_1(0)
 
 
 def test_tensor_single_mode_action():

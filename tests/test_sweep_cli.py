@@ -827,6 +827,7 @@ def test_cli_figure(tmp_path, capsys):
      "entries overflow"),
     (["g2", "--preset", "weak", "--delta", "1e308", "--method", "amp"],
      "entries overflow"),
+    (["g2", "--preset", "weak", "--J", "1e308"], "entries overflow"),
     (["optimize", "--preset", "weak", "--delta-range", "0", "1e308",
       "--out", "o.json"], "entries overflow"),
 ])
@@ -871,18 +872,28 @@ def _cli_process(argv, cwd):
     return done.returncode, done.stdout, done.stderr
 
 
-def test_a_huge_search_box_warns_nothing(tmp_path):
+@pytest.mark.parametrize("argv, code", [
+    (["optimize", "--preset", "weak", "--starts", "5", "4",
+      "--delta-range", "-1e200", "1e200", "--keep-uncertified"], 0),
+    (["g2", "--preset", "weak", "--lambda", "1e308", "--g", "0.042",
+      "--cutoff", "2"], 2),
+], ids=["optimize", "g2"])
+def test_a_huge_search_box_warns_nothing(argv, code, tmp_path):
     # ends 1e200 apart: the dedupe's distance and the oracle's void states
-    # raise no numpy warning, so the run under -W error prints the same
-    argv = ["optimize", "--preset", "weak", "--starts", "5", "4",
-            "--delta-range", "-1e200", "1e200", "--keep-uncertified"]
+    # raise no numpy warning, nor do H_nh's eigenvalues near 1e308 in the
+    # jump map, so the run under -W error prints the same
     plain, strict = (subprocess.run(
         [sys.executable, *flags, "-m", "blockade.cli", *argv], cwd=tmp_path,
         capture_output=True, text=True, env=_cli_env(), timeout=60)
         for flags in ([], ["-W", "error"]))
-    assert (strict.returncode, strict.stderr) == (0, "")
-    assert (plain.returncode, plain.stderr) == (0, "")
-    assert strict.stdout == plain.stdout and json.loads(strict.stdout)
+    for done in (plain, strict):
+        assert done.returncode == code
+        if code:        # one line that names the solver error
+            assert not done.stdout and done.stderr.count("\n") == 1
+            assert done.stderr.startswith("solver error: ")
+        else:
+            assert done.stderr == "" and json.loads(done.stdout)
+    assert (strict.stdout, strict.stderr) == (plain.stdout, plain.stderr)
 
 
 def test_cli_closed_stdout_exits_1_quietly():
