@@ -8,11 +8,12 @@ the other output) or closed standard output (silently), 2 solver error (also
 a g2 that is not finite).  A run builds the options of its own subcommand
 only; argv that names none (``--help``, an unknown command) builds them all.
 A usage error ends with one usage line, of the subcommand that argv names
-or else of the top level.  ``g2`` is a one-point sweep: it runs every
-solve of ``sweep.g2_columns`` that ``--method`` asks for, so rates that
-overflow either method's H exit 1, and then exits 2 on the first cell, in
-ROW_FIELDS order, that names a ``model.SolverError``, with the message the
-class states.
+or else of the top level.  ``g2`` prints the cells of a one-point sweep,
+those of ``sweep.g2_columns`` that ``--method`` and ``--cavity`` ask for.
+Every solve runs first, so rates that overflow either method's H exit 1;
+then an ``err:`` cell exits 2: the first, in ROW_FIELDS order, that names a
+``model.SolverError``, with the message its class states, or else a
+FloatingPointError that names the fields whose g2 is not finite.
 ``--cutoff`` belongs to the commands whose master-equation solve reads it
 (g2, sweep, figure; default ``lindblad.DEFAULT_CUTOFF``): ``optimize``
 certifies at the fixed ``optimize.ORACLE_CUTOFF``, so another truncation is
@@ -41,7 +42,7 @@ from .model import (PRESETS, SolverError, SystemParams, load_params,
                     raise_named, to_json)
 from .optimize import (STRONG_GRID, WEAK_GRID, SearchGrid, find_optimal_pairs,
                        pairs_to_json)
-from .sweep import (AXES, FIGURE_IDS, ROW_FIELDS, SweepSpec, _metadata_path,
+from .sweep import (AXES, FIGURE_IDS, SweepSpec, _metadata_path,
                     figure_dataset, g2_columns, run_sweep, write_csv)
 
 SOLVER_ERRORS = (SolverError, np.linalg.LinAlgError, FloatingPointError)
@@ -165,20 +166,15 @@ _METHOD = {"amp": "amplitude", "me": "lindblad", "both": "both"}
 
 
 def _cmd_g2(args) -> int:
-    values, errors = {}, {}
-    # every solve runs before the first solver error, in ROW_FIELDS order,
-    # is raised: rates that overflow either method's H are a usage error
-    for _, v, e in g2_columns(_base_params(args), _METHOD[args.method],
-                              args.cavity, args.cutoff):
-        values.update(v)
-        errors.update(e)
-    out = {k: float(values[k][0]) for k in ROW_FIELDS if k in values}
-    for key in ROW_FIELDS[1:5]:     # g2 fields; n_j has g2_j_me's error
-        raise_named(errors.get(key, [""])[0], cavity=key[3],
-                    n=out.get("n" + key[3]))
-    if not np.isfinite(list(out.values())).all():
-        raise FloatingPointError("g2 not finite: %s" % out)
-    print(to_json(out, allow_nan=False))
+    cells = {k: c[0] for k, c in g2_columns(
+        _base_params(args), _METHOD[args.method], args.cavity,
+        args.cutoff).items() if c[0] != ""}
+    failed = [k for k, c in cells.items() if isinstance(c, str)]
+    for key in failed:      # n_j's cell is g2_j_me's, which comes first
+        raise_named(cells[key][4:], cavity=key[3])
+    if failed:              # each names FloatingPointError
+        raise FloatingPointError("g2 not finite: %s" % ", ".join(failed))
+    print(to_json(cells, allow_nan=False))
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .amplitude import steady_amplitude_stack
+from .amplitude import g2_cavity_stack, steady_amplitude_stack
 from .lindblad import steady_g2
 from .model import (SolverError, SystemParams, check_cavity, check_range,
                     cpb_detunings, to_json)
@@ -41,6 +41,12 @@ MAX_STARTS = 100_000
 # this threshold
 ORACLE_THRESHOLD = 1e-2
 ORACLE_CUTOFF = 4
+# a Newton end is a root only where the hierarchy g2 of its cavity is at
+# most this.  Ends far out, where the residual underflows with the one-photon
+# amplitude, read NaN; the shipped searches' roots read 1e-33 to 6e-26, and
+# the root at |J| = 500 kappa 6.7e-11 (its c10 is 1e-3 E, so its residual
+# tolerance allows up to 2e-8)
+ROOT_G2_MAX = 1e-6
 # the largest residual entry whose squared norm stays finite
 _F_MAX = np.sqrt(np.finfo(float).max / 2)
 # the stencil offsets dx_i (row i) and the ladder scales 1, 1/2, 1/4, ...
@@ -185,9 +191,12 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
 
     Newton runs from all starts in lockstep on ``target_residual_stack``
     inside the grid box widened by BOX_PAD on each side (see the module
-    docstring).  Its roots are deduplicated in start order and sorted by
-    delta; one ``target_residual_stack`` call takes their residuals, and one
-    ``steady_g2`` call per root the master-equation g2 of its cavity.
+    docstring).  Its ends are deduplicated in start order and sorted by
+    delta.  An end is a root only where the hierarchy g2 of its cavity, from
+    one ``steady_amplitude_stack`` call over the ends, is at most
+    ROOT_G2_MAX (not NaN).  One ``target_residual_stack`` call takes the
+    roots' residuals, and one ``steady_g2`` call per root the
+    master-equation g2 of its cavity.
 
     A returned pair is certified by the master-equation oracle: roots whose
     exact g2 at the drive ``p.drive_E`` and cutoff ``ORACLE_CUTOFF`` is not
@@ -222,6 +231,9 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
             roots.append(x)
 
     ordered = np.reshape(sorted(roots, key=lambda r: r[0]), (-1, 2))
+    amps = steady_amplitude_stack(p, delta=-ordered[:, 0],
+                                  lambda_gain=ordered[:, 1])
+    ordered = ordered[g2_cavity_stack(amps, cavity)[0] <= ROOT_G2_MAX]
     pairs = []
     for x, f in zip(ordered, target_residual_stack(ordered, p, cavity)):
         resid = abs(complex(*f))

@@ -5,12 +5,14 @@ negates the emitted axis values of a delta sweep, and is refused on other
 axes (the published figures plot the detuning with the opposite sign).
 ``g2_columns`` is the one table of g2 cells: it runs the stacked solves and
 g2s over the points a sweep gives, or over one point for the ``g2``
-command, and each of its columns equals the one-point cases bit for bit.
-The CSV is written from the columns, and Python touches each point only to
+command, and returns each field's whole column of cells, each equal to
+the one-point cases bit for bit.  ``run_sweep`` adds the axis column, the
+CSV is written from the columns, and Python touches each point only to
 assemble ``SweepResult.rows``.  Cells carry sentinel strings ``err:<name>``
 where a stack names a per-point solver failure (a ``model.SolverError``)
-and ``err:FloatingPointError`` where an amplitude g2 is not finite;
-metadata lives in a sibling JSON file, never inline.
+and ``err:FloatingPointError`` where an amplitude g2 is not finite, and ""
+in the fields that the method and cavity do not ask for; metadata lives in
+a sibling JSON file, never inline.
 """
 
 from __future__ import annotations
@@ -105,45 +107,40 @@ def _cells(values: np.ndarray, errors: np.ndarray) -> np.ndarray:
 
 
 def g2_columns(p: SystemParams, method: str, cavity: str, cutoff: int,
-               **arrays):
-    """The g2 cells of ROW_FIELDS[1:] that ``method`` and ``cavity`` ask
-    for, as ``SweepSpec`` names them, at the points of
-    ``stacked_rates(p, arrays)``: one point if no array is given.
+               **arrays) -> dict:
+    """The g2 cells of ROW_FIELDS[1:] at the points of
+    ``stacked_rates(p, arrays)``, one point if no array is given: per field
+    an object array of one cell per point, "" where ``method`` and
+    ``cavity``, as ``SweepSpec`` names them, do not ask for the field.
 
-    Yields (part, values, errors) per stacked solve, the amplitude one
-    first, so that ``run_sweep`` fills its columns chunk by chunk: ``part``
-    slices the points it solved, values are float arrays and errors
-    per-point names, "" where the value stands.  The ``g2`` command takes
-    every part before it reads an error.  An amplitude g2 that is not
+    The amplitude cells are filled first.  An amplitude g2 that is not
     finite is named FloatingPointError.  The master equation is solved
-    STACK_ENTRIES // d**2 points at a time, and a void state names its
-    error in all four of its fields, asked for or not.  A cutoff that
+    STACK_ENTRIES // d**2 points at a time, into the cells in place; a
+    void state names its error in the fields asked for.  A cutoff that
     ``g2_basis`` rejects raises before any solve.
     """
     basis = None if method == "amplitude" else g2_basis(cutoff)
     cavities = (1, 2) if cavity == "both" else (int(cavity),)
+    size = len(stacked_rates(p, arrays)[0])
+    cells = {k: np.full(size, "", dtype=object) for k in ROW_FIELDS[1:]}
     if method != "lindblad":
         amps = steady_amplitude_stack(p, **arrays)
-        values, errors = {}, {}
         for cav in cavities:
             g2, names = g2_cavity_stack(amps, cav)
             names[(names == "") & ~np.isfinite(g2)] = "FloatingPointError"
-            values["g2_%d_amp" % cav], errors["g2_%d_amp" % cav] = g2, names
-        yield slice(None), values, errors
+            cells["g2_%d_amp" % cav] = _cells(g2, names)
     if basis is not None:
         chunk = max(1, STACK_ENTRIES // basis.dim ** 2)
-        for start in range(0, len(stacked_rates(p, arrays)[0]), chunk):
+        for start in range(0, size, chunk):
             part = slice(start, start + chunk)
             rhos, void = steady_rho_stack(p, basis, **{
                 k: v[part] for k, v in arrays.items()})
-            # a void state voids all four fields, asked for or not
-            values, errors = {}, dict.fromkeys(ROW_FIELDS[3:], void)
             for cav in cavities:
                 g2, n, names = g2_stack(rhos, basis, cav)
                 names = np.where(void == "", names, void)
-                for key, x in (("g2_%d_me" % cav, g2), ("n%d" % cav, n)):
-                    values[key], errors[key] = x, names
-            yield part, values, errors
+                cells["g2_%d_me" % cav][part] = _cells(g2, names)
+                cells["n%d" % cav][part] = _cells(n, names)
+    return cells
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -151,15 +148,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     # as Python floats: linspace takes its dtype from the ends
     values = np.linspace(*map(float, spec.range), spec.points)
     t0 = time.perf_counter()
-    columns = {"axis_value": (-values if spec.axis_flip else values
-                              ).astype(object),
-               **{k: np.full(len(values), "", dtype=object)
-                  for k in ROW_FIELDS[1:]}}
-    for part, numbers, errors in g2_columns(
-            spec.base, spec.method, spec.cavity, spec.cutoff,
-            **{_AXIS_FIELD[spec.axis]: values}):
-        for k, e in errors.items():     # unasked fields keep their "" cells
-            columns[k][part] = _cells(numbers.get(k, columns[k][part]), e)
+    columns = {"axis_value": -values if spec.axis_flip else values,
+               **g2_columns(spec.base, spec.method, spec.cavity, spec.cutoff,
+                            **{_AXIS_FIELD[spec.axis]: values})}
     meta = {"params": spec.base.to_dict(),        # then the spec's fields
             **{k: v for k, v in vars(spec).items() if k != "base"},
             "range": list(spec.range), "code_version": __version__,

@@ -334,6 +334,21 @@ def _refined_dense_rho(p, basis):
     return 0.5 * (rho + rho.conj().T)
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+def test_steady_rho_converges_at_a_large_hopping(cutoff):
+    # at |J| = 500 kappa cavity 1 holds 1.3e-12 photons and a pair moment
+    # of 3e-23, whose rounding noise the stop rule reads against
+    # MOMENT_FLOOR: the optimal-pair root of the strong preset there
+    p = strong_params(hop_J=-1.0, delta=-0.039975, lambda_gain=-7.99e-7)
+    basis = FockBasis(cutoff, cutoff)
+    rho, ref = steady_rho(p, basis), _refined_dense_rho(p, basis)
+    for cavity in (1, 2):
+        g2, n = g2_mode(rho, basis, cavity)
+        g2_ref, n_ref = g2_mode(ref, basis, cavity)
+        assert g2 == pytest.approx(g2_ref, rel=1e-4)
+        assert n == pytest.approx(n_ref, rel=1e-10)
+
+
 def test_steady_rho_matches_dense_solve_on_random_points():
     rng = np.random.default_rng(20261018)
     kappa = 0.002
@@ -422,6 +437,8 @@ def test_steady_rho_iteration_cap(monkeypatch, capsys):
                                base=p, cavity="1")).rows
     assert all(row["g2_1_me"] == "err:SteadyStateConvergenceError"
                and isinstance(row["g2_1_amp"], float) for row in rows)
+    # the void state leaves the fields of cavity 2, not asked for, blank
+    assert all(row["g2_2_me"] == row["n2"] == "" for row in rows)
     assert cli_main(["g2", "--preset", "weak", "--method", "me"]) == 2
     assert "SteadyStateConvergenceError" in capsys.readouterr().err
 

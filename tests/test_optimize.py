@@ -563,9 +563,10 @@ def test_numpy_integer_cavity_writes_its_pairs():
     assert texts[0] == texts[1] and '"cavity": 1,' in texts[0]
 
 
-def test_unconverged_oracle_does_not_end_the_search(capsys):
-    # at |J| = 500 kappa the jump map does not converge at the box's one
-    # root (reporting delta 0.039975, lambda -7.99e-7)
+def test_oracle_converges_at_the_large_hopping_root(capsys):
+    # at |J| = 500 kappa the jump map converges at the box's one root
+    # (reporting delta 0.039975, lambda -7.99e-7), where cavity 1 holds
+    # 1.3e-12 photons and its g2 reads 19.14: above ORACLE_THRESHOLD
     argv = ["optimize", "--preset", "strong", "--J", "-1",
             "--starts", "4", "4"]
     assert cli_main(argv) == 0
@@ -573,4 +574,4 @@ def test_unconverged_oracle_does_not_end_the_search(capsys):
     assert cli_main(argv + ["--keep-uncertified"]) == 0
     [root] = json.loads(capsys.readouterr().out)
     assert root["delta_opt"] == pytest.approx(0.039975, rel=1e-4)
-    assert root["g2_check"] is None
+    assert root["g2_check"] == pytest.approx(19.143, rel=1e-4)
