@@ -75,8 +75,9 @@ class SystemParams:
             value = getattr(self, key)
             if isinstance(value, np.generic):   # the Python number it holds
                 object.__setattr__(self, key, value := value.item())
-            if not math.isfinite(value):
-                raise ValueError("%s must be finite" % key)
+            # a bool would be written as true, which parameter files refuse
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError("%s must be a finite number" % key)
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
         if self.drive_E < 0:
@@ -220,7 +221,8 @@ class FockBasis:
 
     def __post_init__(self):
         cutoffs = (self.n_max_1, self.n_max_2)
-        if not (all(isinstance(n, (int, np.integer)) for n in cutoffs)
+        if not (all(isinstance(n, (int, np.integer))
+                    and not isinstance(n, bool) for n in cutoffs)
                 and min(cutoffs) >= 1 and self.dim <= MAX_DIM):
             raise InvalidCutoffError(
                 "cutoffs must be integers >= 1 with basis dimension <= %d, "

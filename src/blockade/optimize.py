@@ -194,9 +194,9 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
     docstring).  Its ends are deduplicated in start order and sorted by
     delta.  An end is a root only where the hierarchy g2 of its cavity, from
     one ``steady_amplitude_stack`` call over the ends, is at most
-    ROOT_G2_MAX (not NaN).  One ``target_residual_stack`` call takes the
-    roots' residuals, and one ``steady_g2`` call per root the
-    master-equation g2 of its cavity.
+    ROOT_G2_MAX (not NaN).  That stack gives the roots' residuals too, as
+    the moduli of their target amplitudes, and one ``steady_g2`` call per
+    root the master-equation g2 of its cavity.
 
     A returned pair is certified by the master-equation oracle: roots whose
     exact g2 at the drive ``p.drive_E`` and cutoff ``ORACLE_CUTOFF`` is not
@@ -233,10 +233,9 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
     ordered = np.reshape(sorted(roots, key=lambda r: r[0]), (-1, 2))
     amps = steady_amplitude_stack(p, delta=-ordered[:, 0],
                                   lambda_gain=ordered[:, 1])
-    ordered = ordered[g2_cavity_stack(amps, cavity)[0] <= ROOT_G2_MAX]
+    kept = g2_cavity_stack(amps, cavity)[0] <= ROOT_G2_MAX
     pairs = []
-    for x, f in zip(ordered, target_residual_stack(ordered, p, cavity)):
-        resid = abs(complex(*f))
+    for x, c in zip(ordered[kept], amps[kept, 5 if cavity == 1 else 4]):
         try:
             g2 = steady_g2(p.replace(delta=-x[0], lambda_gain=x[1]),
                            cutoff=ORACLE_CUTOFF)[cavity - 1]
@@ -244,8 +243,8 @@ def find_optimal_pairs(p: SystemParams, cavity: int, grid: SearchGrid,
             g2 = np.nan
         if not (keep_uncertified or g2 <= ORACLE_THRESHOLD):
             continue
-        pair = OptimalPair(delta_opt=float(x[0]), lambda_opt=float(x[1]),
-                           residual=float(resid), cavity=cavity, g2_check=g2)
+        pair = OptimalPair(*map(float, x), residual=abs(complex(c)),
+                           cavity=cavity, g2_check=g2)
         pairs.append(classify_mechanism(pair, p))
     return pairs
 

@@ -98,7 +98,9 @@ def test_basis_rejects_bad_cutoffs():
         with pytest.raises(InvalidCutoffError):
             FockBasis(*cutoffs)
     # a non-integer count (dim 10.5) would fail only in the solve
-    for cutoffs in ((2.5, 2), (2, 2.0), ("2", 2), (None, 2)):
+    # a bool is an int, but True would read as cutoff 1
+    for cutoffs in ((2.5, 2), (2, 2.0), ("2", 2), (None, 2), (True, 2),
+                    (2, False), (np.bool_(True), 2)):
         with pytest.raises(InvalidCutoffError, match="integers"):
             FockBasis(*cutoffs)
     assert FockBasis(np.int64(2), np.int32(3)).dim == 12

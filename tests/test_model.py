@@ -45,9 +45,11 @@ def test_param_validation():
 
 @pytest.mark.parametrize("field", ["delta", "lambda_gain", "theta", "phi",
                                    "hop_J", "kappa", "drive_E", "g_om"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# a bool rate would write true, which a parameter file refuses
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True,
+                                   np.bool_(False)])
 def test_param_rejects_non_finite(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=field + " must be a finite number"):
         weak_params().replace(**{field: value})
 
 

@@ -424,8 +424,7 @@ def test_stencils_centre_on_iterates_in_the_padded_box(monkeypatch, preset,
     monkeypatch.setattr(blockade.optimize, "target_residual_stack",
                         recording)
     pairs = find_optimal_pairs(preset(), 1, grid, keep_uncertified=True)
-    *calls, (roots, _) = calls      # the last: the residuals of the roots
-    assert roots.tolist() == [[q.delta_opt, q.lambda_opt] for q in pairs]
+    assert pairs
     box = _padded_box(grid)
     starts, f_starts = calls[0]
     norm = dict(zip(map(bytes, starts), _norms(f_starts)))
@@ -459,6 +458,12 @@ def test_stencils_centre_on_iterates_in_the_padded_box(monkeypatch, preset,
             if ok.any():
                 k = ok.argmax()
                 norm[bytes(row[k])] = _norms(f[k])
+    # every call was a Newton call, and every pair an iterate, reported
+    # with the norm of its residual there
+    assert i == len(calls)
+    for q in pairs:
+        root = norm[bytes(np.array([q.delta_opt, q.lambda_opt]))]
+        assert q.residual == pytest.approx(root, rel=1e-12, abs=0)
 
 
 def test_classify_mechanism_rules():
@@ -552,6 +557,38 @@ def test_oracle_solves_at_the_oracle_cutoff(monkeypatch):
         find_optimal_pairs(weak_params(), 1, WEAK_GRID, keep_uncertified=keep)
     assert len(cutoffs) == 2 * len(SHIPPED_ROOTS[weak_params, 1])
     assert set(cutoffs) == {ORACLE_CUTOFF}
+
+
+@pytest.mark.parametrize("cavity", [1, 2])
+def test_roots_take_their_residuals_from_the_filter_stack(monkeypatch,
+                                                          cavity):
+    # after the Newton search, one amplitude stack over its ends both
+    # filters the roots and gives their residuals: no residual call follows
+    calls, searched = [], []
+
+    def recording(name):
+        fun = getattr(blockade.optimize, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((bool(searched), name))
+            return fun(*args, **kwargs)
+        return wrapper
+
+    newton = blockade.optimize._newton_paths
+
+    def marking(*args):
+        ends = newton(*args)
+        searched.append(True)
+        return ends
+
+    for name in ("steady_amplitude_stack", "target_residual_stack"):
+        monkeypatch.setattr(blockade.optimize, name, recording(name))
+    monkeypatch.setattr(blockade.optimize, "_newton_paths", marking)
+    pairs = find_optimal_pairs(strong_params(), cavity, STRONG_GRID,
+                               keep_uncertified=True)
+    assert len(pairs) == len(SHIPPED_ROOTS[strong_params, cavity])
+    assert (False, "target_residual_stack") in calls    # the search's
+    assert [n for after, n in calls if after] == ["steady_amplitude_stack"]
 
 
 def test_numpy_integer_cavity_writes_its_pairs():
