@@ -3,10 +3,11 @@
 Subcommands: sweep, optimize, figure, g2, params.  Exit codes: 0 success,
 1 usage error (a configuration that a SystemParams, SweepSpec, SearchGrid,
 FockBasis or g2_basis check rejects, rates that overflow H, an unopenable
-file, or an output, --out or a sweep's metadata, over the --params-file or
-the other output) or closed standard output (silently), 2 solver error (also
-a g2 that is not finite).  A run builds the options of its own subcommand
-only; argv that names none (``--help``, an unknown command) builds them all.
+file, an --out that exists but is no regular file, or an output, --out or a
+sweep's metadata, over the --params-file or the other output) or closed
+standard output (silently), 2 solver error (also a g2 that is not finite).
+A run builds the options of its own subcommand only; argv that names none
+(``--help``, an unknown command) builds them all.
 A usage error ends with one usage line, of the subcommand that argv names
 or else of the top level.  ``g2`` prints the cells of a one-point sweep,
 those of ``sweep.g2_columns`` that ``--method`` and ``--cavity`` ask for.
@@ -79,11 +80,13 @@ def _base_params(args) -> SystemParams:
 
 
 def _check_outputs(params_file, *paths) -> None:
-    """Fail before a run computes: OSError unless the first path's directory
-    exists and is writable, UsageError if a path names the parameter file
-    or another path.  Creates and truncates nothing."""
-    if os.path.isdir(paths[0]) or not os.access(
-            os.path.dirname(os.path.abspath(paths[0])), os.W_OK):
+    """Fail before a run computes: OSError unless the first path is a
+    regular file or absent, in a writable directory, UsageError if a path
+    names the parameter file or another path.  Creates and truncates
+    nothing."""
+    if (os.path.exists(paths[0]) and not os.path.isfile(paths[0])
+            or not os.access(os.path.dirname(os.path.abspath(paths[0])),
+                             os.W_OK)):
         raise OSError("cannot write %s" % paths[0])
     named = [os.path.realpath(params_file)] if params_file else []
     for path in paths:

@@ -75,8 +75,10 @@ class SystemParams:
             value = getattr(self, key)
             if isinstance(value, np.generic):   # the Python number it holds
                 object.__setattr__(self, key, value := value.item())
-            # a bool would be written as true, which parameter files refuse
-            if isinstance(value, bool) or not math.isfinite(value):
+            # a Python int or float only: a bool would be written as true,
+            # which parameter files refuse, and a str, complex, Decimal or
+            # Fraction is no rate that the solvers or the metadata can take
+            if type(value) not in (int, float) or not math.isfinite(value):
                 raise ValueError("%s must be a finite number" % key)
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")

@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,9 +47,11 @@ def test_param_validation():
 
 @pytest.mark.parametrize("field", ["delta", "lambda_gain", "theta", "phi",
                                    "hop_J", "kappa", "drive_E", "g_om"])
-# a bool rate would write true, which a parameter file refuses
+# a bool rate would write true, which a parameter file refuses, and a
+# Decimal or Fraction rate would fail in the sweep's metadata
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True,
-                                   np.bool_(False)])
+                                   np.bool_(False), "0.1", None, 1j,
+                                   Decimal("1e-4"), Fraction(1, 10000)])
 def test_param_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field + " must be a finite number"):
         weak_params().replace(**{field: value})

@@ -1,7 +1,6 @@
 import csv
 import json
 import os
-import subprocess
 import sys
 import warnings
 
@@ -714,13 +713,18 @@ def test_cli_runs_past_the_dense_superoperator_limit(tmp_path, capsys,
      "--starts", "4", "4"],
 ])
 def test_cli_unwritable_out_exits_1(argv, tmp_path, capsys, no_search):
-    # before the sweep or the search starts
-    for out in (tmp_path / "no-such-dir" / "out", tmp_path):
+    # before the sweep or the search starts; a FIFO, like a directory or
+    # /dev/null, is no regular file that an output may replace
+    fifo = tmp_path / "fifo" / "out"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+    for out in (tmp_path / "no-such-dir" / "out", tmp_path, fifo):
         assert cli_main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert str(out) in err
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == ["fifo"]
+    assert os.listdir(fifo.parent) == ["out"]
 
 
 _SWEEP = ["sweep", "--range", "-0.01", "0.01"]
@@ -855,95 +859,14 @@ def test_cli_non_finite_g2_is_a_solver_error(capsys):
         "g2_1_amp, g2_2_amp\n"
 
 
-def _cli_env():
-    """The environment with this checkout's src first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-        env.get("PYTHONPATH")]))
-    return env
-
-
-def _cli_process(argv, cwd):
-    """``python -m blockade.cli argv`` in cwd: (exit code, stdout, stderr)."""
-    done = subprocess.run([sys.executable, "-m", "blockade.cli", *argv],
-                          cwd=cwd, capture_output=True, text=True,
-                          env=_cli_env(), timeout=60)
-    return done.returncode, done.stdout, done.stderr
-
-
-@pytest.mark.parametrize("argv, code", [
-    (["optimize", "--preset", "weak", "--starts", "5", "4",
-      "--delta-range", "-1e200", "1e200", "--keep-uncertified"], 0),
-    (["g2", "--preset", "weak", "--lambda", "1e308", "--g", "0.042",
-      "--cutoff", "2"], 2),
-], ids=["optimize", "g2"])
-def test_a_huge_search_box_warns_nothing(argv, code, tmp_path):
-    # ends 1e200 apart: the dedupe's distance and the hierarchy g2 of the
-    # ends raise no numpy warning, nor do H_nh's eigenvalues near 1e308 in
-    # the jump map, so the run under -W error prints the same.  The ends at
-    # |delta| >= 5e199, where the residual underflows with the one-photon
-    # amplitude, are no roots: the search keeps the one real root
-    plain, strict = (subprocess.run(
-        [sys.executable, *flags, "-m", "blockade.cli", *argv], cwd=tmp_path,
-        capture_output=True, text=True, env=_cli_env(), timeout=60)
-        for flags in ([], ["-W", "error"]))
-    for done in (plain, strict):
-        assert done.returncode == code
-        if code:        # one line that names the solver error
-            assert not done.stdout and done.stderr.count("\n") == 1
-            assert done.stderr.startswith("solver error: ")
-        else:
-            assert done.stderr == ""
-            [pair] = json.loads(done.stdout)
-            assert (pair["delta_opt"], pair["lambda_opt"]) == pytest.approx(
-                (-7.28e-5, 9.27e-7), rel=1e-3)
-    assert (strict.stdout, strict.stderr) == (plain.stdout, plain.stderr)
-
-
-def test_cli_closed_stdout_exits_1_quietly():
-    # the reader of the pipe is gone before anything is written
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        done = subprocess.run([sys.executable, "-m", "blockade.cli", "params",
-                               "--preset", "weak"], stdout=write,
-                              stderr=subprocess.PIPE, env=_cli_env(),
-                              timeout=60)
-    finally:
-        os.close(write)
-    assert (done.returncode, done.stderr) == (1, b"")
-
-
-@pytest.mark.parametrize("argv, name", [
-    (["sweep", "--preset", "weak", "--range", "-1e308", "1e308",
-      "--points", "5", "--method", "amp", "--out", "f.csv"], "range"),
-    (["optimize", "--preset", "weak", "--delta-range", "-1e308", "1e308",
-      "--out", "o.json"], "delta_range"),
-    (["optimize", "--preset", "weak", "--lambda-range", "-1e308", "1e308",
-      "--out", "o.json"], "lambda_range"),
-])
-def test_cli_range_whose_width_overflows_exits_1(argv, name, tmp_path):
-    # each end is finite, hi - lo is not: a usage error before np.linspace
-    code, out, err = _cli_process(argv, tmp_path)
-    assert (code, out) == (1, "")
-    assert err == "usage error: %s (-1e+308, 1e+308): its width hi - lo " \
-        "overflows\n" % name
-    assert os.listdir(tmp_path) == []
-
-
-def test_cli_overflowing_amplitude_g2_is_a_solver_error_or_cell(tmp_path):
-    # lambda = 1e300: |c20|**2 overflows; no numpy warning reaches stderr
-    code, out, err = _cli_process(["g2", "--preset", "weak", "--lambda",
-                                   "1e300", "--method", "amp"], tmp_path)
-    assert (code, out) == (2, "")
-    assert err.startswith("solver error: FloatingPointError: g2 not finite")
-    assert "RuntimeWarning" not in err
-    code, out, err = _cli_process(
-        ["sweep", "--preset", "weak", "--axis", "lambda", "--range", "0",
-         "1e300", "--points", "3", "--method", "amp", "--out", "g.csv"],
-        tmp_path)
-    assert (code, err) == (0, "")
+def test_cli_overflowing_amplitude_g2_is_a_solver_error_or_cell(tmp_path,
+                                                                capsys):
+    # lambda = 1e300: |c20|**2 overflows.  g2 exits 2 (a row of
+    # test_cli_contract.py); a sweep writes err: cells and exits 0
+    assert cli_main(["sweep", "--preset", "weak", "--axis", "lambda",
+                     "--range", "0", "1e300", "--points", "3", "--method",
+                     "amp", "--out", str(tmp_path / "g.csv")]) == 0
+    assert capsys.readouterr().err == ""
     with open(tmp_path / "g.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["g2_1_amp"]) > 0
