@@ -71,15 +71,8 @@ class SystemParams:
     g_om: float = 0.0
 
     def __post_init__(self):
-        for key in _PARAM_KEYS:
-            value = getattr(self, key)
-            if isinstance(value, np.generic):   # the Python number it holds
-                object.__setattr__(self, key, value := value.item())
-            # a Python int or float only: a bool would be written as true,
-            # which parameter files refuse, and a str, complex, Decimal or
-            # Fraction is no rate that the solvers or the metadata can take
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise ValueError("%s must be a finite number" % key)
+        for k in _PARAM_KEYS:
+            object.__setattr__(self, k, finite_number(k, getattr(self, k)))
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
         if self.drive_E < 0:
@@ -121,13 +114,24 @@ def strong_params(**overrides) -> SystemParams:
 PRESETS = {"weak": weak_params, "strong": strong_params}
 
 
+def finite_number(name: str, value):
+    """``value`` if it is a Python int or float, or the Python number that a
+    numpy scalar holds, and finite; else ValueError naming ``name``.  The one
+    rule for a number from outside: a bool would be written as true, which
+    parameter files refuse, and a str, None, complex, Decimal or Fraction is
+    no rate that the solvers or the metadata can take.  abs() <= the float
+    maximum tests an int beyond the float range too, with no OverflowError."""
+    x = value.item() if isinstance(value, np.generic) else value
+    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+        raise ValueError("%s must be a finite number, got %.40r" % (name, x))
+    return x
+
+
 def check_range(name: str, rng) -> None:
-    """Raise ValueError unless the range (lo, hi) has finite ends, lo < hi
-    and a finite width (as Python floats hi - lo overflows to inf, with no
-    numpy warning)."""
-    lo, hi = (float(x) for x in rng)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("range ends must be finite")
+    """Raise ValueError unless the range (lo, hi) has finite ends
+    (``finite_number``), lo < hi and a finite width (as Python floats
+    hi - lo overflows to inf, with no numpy warning)."""
+    lo, hi = (float(finite_number(name, x)) for x in rng)
     if not lo < hi:
         raise ValueError("%s must satisfy lo < hi" % name)
     if not math.isfinite(hi - lo):
@@ -136,8 +140,10 @@ def check_range(name: str, rng) -> None:
 
 
 def check_cavity(cavity: int) -> None:
-    """Raise ValueError unless cavity is 1 or 2."""
-    if cavity not in (1, 2):
+    """Raise ValueError unless cavity is the integer 1 or 2 (a Python or numpy
+    int, not a bool or a float)."""
+    if (isinstance(cavity, bool) or not isinstance(cavity, (int, np.integer))
+            or cavity not in (1, 2)):
         raise ValueError("cavity must be 1 or 2")
 
 
@@ -169,6 +175,9 @@ def stacked_rates(p: SystemParams, arrays: dict) -> list[np.ndarray]:
     unknown = set(arrays) - set(STACKED_FIELDS)
     if unknown:
         raise ValueError("cannot stack %s" % sorted(unknown))
+    for f, v in arrays.items():      # p's rates are checked already
+        if np.asarray(v).dtype.kind not in "iuf" or not np.isfinite(v).all():
+            raise ValueError("%s must be finite numbers" % f)
     rates = [np.asarray(arrays.get(f, getattr(p, f)), dtype=float).ravel()
              for f in STACKED_FIELDS]
     shape = np.broadcast_shapes(*(r.shape for r in rates))
@@ -333,37 +342,28 @@ def params_from_dict(d: dict) -> SystemParams:
     both in the same angular-frequency convention).  A ``mu`` key, as
     ``SystemParams.to_dict`` writes it, must equal g_om**2.
     """
-    omega_m_hz = _number(d, "omega_m_hz") if "omega_m_hz" in d \
-        else OMEGA_M_HZ_DEFAULT
-    if not 0 < omega_m_hz < math.inf:
-        raise ValueError("omega_m_hz must be in (0, inf), got %r" % omega_m_hz)
+    omega_m_hz = float(finite_number("omega_m_hz", d["omega_m_hz"])) \
+        if "omega_m_hz" in d else OMEGA_M_HZ_DEFAULT
+    if not omega_m_hz > 0:
+        raise ValueError("omega_m_hz must be > 0, got %r" % omega_m_hz)
     kw = {}
     for key in _PARAM_KEYS:
         if key in d and key + "_hz" in d:
             raise ValueError("give %s or %s_hz, not both" % (key, key))
         if key in d:
-            kw[key] = _number(d, key)
+            kw[key] = float(finite_number(key, d[key]))
         elif key + "_hz" in d:
-            kw[key] = _number(d, key + "_hz") / omega_m_hz
+            kw[key] = float(finite_number(key + "_hz", d[key + "_hz"])) \
+                / omega_m_hz
     unknown = set(d) - {k for k in _PARAM_KEYS} - {k + "_hz" for k in _PARAM_KEYS} \
         - {"omega_m_hz", "mu"}
     if unknown:
         raise ValueError("unknown parameter keys: %s" % sorted(unknown))
     p = SystemParams(**kw)
-    if "mu" in d and _number(d, "mu") != p.mu:
-        raise ValueError("mu = %r differs from g_om**2 = %r"
-                         % (_number(d, "mu"), p.mu))
+    mu = float(finite_number("mu", d["mu"])) if "mu" in d else p.mu
+    if mu != p.mu:
+        raise ValueError("mu = %r differs from g_om**2 = %r" % (mu, p.mu))
     return p
-
-
-def _number(d: dict, key: str) -> float:
-    """d[key] as a float; a JSON null, boolean, list or object, or an
-    integer beyond the float range, raises ValueError."""
-    try:        # float(True) would read 1.0
-        return float(None if isinstance(d[key], bool) else d[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("%s must be a number, got %r"
-                         % (key, d[key])) from None
 
 
 def load_params(path) -> SystemParams:

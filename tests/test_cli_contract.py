@@ -26,6 +26,9 @@ CASES = [
     # the _hz rates divided by omega_m_hz
     (["params", "--params-file", {"delta_hz": 3.0, "omega_m_hz": 4.0}], 0,
      r'\n  "delta": 0\.75,\n'),
+    # a number in a string is refused, whatever the command line overrides
+    (["params", "--params-file", {"delta": "0.1"}, "--J", "0.0019"], 1,
+     r"\Ausage error: delta must be a finite number[^\n]*\n\Z"),
     (["g2", "--preset", "weak", "--method", "both"], 0,
      r'\A\{\n  "g2_1_amp": 0\.5541\d*,\n  "g2_2_amp": 0\.2856\d*,\n'
      r'  "g2_1_me": 0\.5539\d*,\n  "g2_2_me": 0\.2856\d*,\n  "n1": .*,\n'

@@ -51,7 +51,9 @@ def test_param_validation():
 # Decimal or Fraction rate would fail in the sweep's metadata
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True,
                                    np.bool_(False), "0.1", None, 1j,
-                                   Decimal("1e-4"), Fraction(1, 10000)])
+                                   Decimal("1e-4"), Fraction(1, 10000),
+                                   pytest.param(10 ** 400, id="1e400"),
+                                   pytest.param(-10 ** 400, id="-1e400")])
 def test_param_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field + " must be a finite number"):
         weak_params().replace(**{field: value})
@@ -221,6 +223,18 @@ def test_builder_rejects_overflowing_entries():
         non_hermitian_hamiltonian(weak_params(kappa=1e308), FockBasis(2, 2))
 
 
+# a string or bool array would be solved, and a NaN or inf one would be
+# reported as an overflow of H's entries
+@pytest.mark.parametrize("field, values", [
+    ("delta", np.array(["0.1"])), ("g_om", np.array([True])),
+    ("delta", np.array([0.0, np.nan])), ("hop_J", np.array([np.inf]))],
+    ids=["str", "bool", "nan", "inf"])
+def test_stacked_rates_must_be_finite_numbers(field, values):
+    with pytest.raises(ValueError, match=field + " must be finite numbers"):
+        blockade.steady_rho_stack(weak_params(), FockBasis(2, 2),
+                                  **{field: values})
+
+
 def test_ladder_table_of_any_state_list():
     # the same entries whatever the order of the states, and only between
     # the states listed
@@ -288,18 +302,22 @@ def test_load_params_custom_omega(tmp_path):
     ({"omega_m_hz": math.inf, "kappa_hz": 1.0}, "omega_m_hz"),
     ({"delta": 0.1, "delta_hz": 100.0}, "not both"),
     ([{"delta": 0.1}], "JSON object"),
-    ({"delta": None}, "delta must be a number"),
-    ({"kappa": [0.002]}, "kappa must be a number"),
-    ({"hop_J_hz": {"value": 1.0}}, "hop_J_hz must be a number"),
-    ({"drive_E": "strong"}, "drive_E must be a number"),
-    ({"omega_m_hz": None, "delta_hz": 100.0}, "omega_m_hz must be a number"),
+    ({"delta": None}, "delta must be a finite number"),
+    ({"kappa": [0.002]}, "kappa must be a finite number"),
+    ({"hop_J_hz": {"value": 1.0}}, "hop_J_hz must be a finite number"),
+    ({"drive_E": "strong"}, "drive_E must be a finite number"),
+    ({"omega_m_hz": None, "delta_hz": 100.0},
+     "omega_m_hz must be a finite number"),
     ({"g_om": 0.042, "mu": 0.0017},
      r"mu = 0.0017 differs from g_om\*\*2 = 0.0017640000000000002"),
     ({"mu": 0.04}, r"mu = 0.04 differs from g_om\*\*2 = 0.0"),
     # float(True) reads 1.0, a drive of 500 kappa; 10**400 overflows float()
-    ({"drive_E": True}, "drive_E must be a number"),
-    ({"kappa_hz": False}, "kappa_hz must be a number"),
-    ({"drive_E": 10 ** 400}, "drive_E must be a number"),
+    ({"drive_E": True}, "drive_E must be a finite number"),
+    ({"kappa_hz": False}, "kappa_hz must be a finite number"),
+    ({"drive_E": 10 ** 400}, "drive_E must be a finite number"),
+    # a number in a string is no number, as in SystemParams
+    ({"delta": "0.1"}, "delta must be a finite number"),
+    ({"delta_hz": "3"}, "delta_hz must be a finite number"),
 ])
 def test_load_params_rejects_bad_files(tmp_path, content, match):
     path = tmp_path / "p.json"

@@ -58,7 +58,8 @@ def test_search_grid_rejects_oversized_start_counts():
             SearchGrid((-0.01, 0.01), (-5e-6, 5e-6), *counts)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "0.01", True,
+                                 pytest.param(10 ** 400, id="1e400")])
 @pytest.mark.parametrize("end", range(4))
 def test_search_grid_rejects_non_finite_range_ends(bad, end):
     ends = [-0.01, 0.01, -5e-6, 5e-6]
@@ -495,7 +496,9 @@ def test_pairs_to_json_fields():
                      "mechanism": "CPB", "proximity": "delta_minus"}]
 
 
-@pytest.mark.parametrize("cavity", [0, 3])
+# True would read as cavity 1 and be written into the JSON as true
+@pytest.mark.parametrize("cavity", [0, 3, True, np.bool_(True), 1.0,
+                                    np.float64(2.0)])
 def test_cavity_must_be_1_or_2_before_any_solve(monkeypatch, cavity):
     # any cavity but 1 read cavity 2's amplitude, and the oracle's index
     # then picked another entry of (g2_1, g2_2, n1, n2)

@@ -108,6 +108,10 @@ def test_spec_rejects_axis_values_outside_the_parameter_domain():
     with pytest.raises(ValueError):
         SweepSpec(axis="delta", range=(np.nan, 1.0), points=5,
                   base=weak_params())
+    # a string or bool end would be written into the metadata as given
+    for rng in (("0", 1e-3), (True, 2), (0, 10 ** 400)):
+        with pytest.raises(ValueError, match="range must be a finite number"):
+            SweepSpec(axis="delta", range=rng, points=5, base=weak_params())
 
 
 def test_sentinel_rows_for_per_point_failures():
@@ -653,7 +657,7 @@ def test_cli_params_file_rejects_a_boolean_or_huge_number(value, tmp_path,
     params_file.write_text(json.dumps({"drive_E": value}))
     assert cli_main(["params", "--params-file", str(params_file)]) == 1
     err = capsys.readouterr().err
-    assert "drive_E must be a number" in err and "Traceback" not in err
+    assert "drive_E must be a finite number" in err and "Traceback" not in err
 
 
 def test_cli_oversized_cutoff_fails_before_writing(tmp_path, capsys,
